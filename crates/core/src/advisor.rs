@@ -3,24 +3,36 @@
 //! [`Advisor::build`] runs the whole measurement pipeline the paper
 //! describes (select on the client, materialize in the cloud):
 //!
-//! 1. execute the workload on the base table and meter it;
-//! 2. generate candidate cuboids from the lattice;
-//! 3. materialize every candidate in the engine, metering build cost,
-//!    stored size, incremental-maintenance cost, and the improved time of
-//!    every workload query it can answer;
+//! 1. generate candidate cuboids from the lattice;
+//! 2. materialize every candidate in the engine, finest first, each one
+//!    rolled up from its smallest already-built ancestor (the "smallest
+//!    parent" order of Agarwal et al., VLDB 1996) — only a candidate
+//!    with no built ancestor scans the base table — and meter build
+//!    cost, stored size, incremental-maintenance cost, and the improved
+//!    time of every workload query it can answer;
+//! 3. meter the workload, each query answered from the smallest built
+//!    view that can (the base table when none can). Where the data comes
+//!    from never changes a charge: build and query stats are the base
+//!    scan's, computed from the base table's shape, exactly as the paper
+//!    charges a full scan;
 //! 4. convert metered work to simulated cluster-hours and cloud gigabytes;
 //! 5. assemble the [`SelectionProblem`] over the paper's cost models.
 //!
+//! [`Advisor::meter_stats`] counts the engine passes this took.
 //! [`Advisor::solve`] then runs any scenario × solver combination, and
 //! [`Advisor::materialize_selection`] registers the chosen views in a
 //! catalog, ready to serve queries.
 
+use std::cell::Cell;
+use std::cmp::Reverse;
+
 use mv_cost::{CloudCostModel, CostContext, QueryCharge, ViewCharge};
 use mv_engine::{
-    AggQuery, AggSpec, MaterializedView, SimScale, Table, ThroughputModel, ViewCatalog,
-    ViewDefinition,
+    smallest_answering, AggQuery, AggSpec, MaterializedView, SimScale, Table, ThroughputModel,
+    ViewCatalog, ViewDefinition,
 };
 use mv_lattice::{candidates, CandidateStream, Cuboid, SizeEstimator};
+use mv_obs::Counter;
 use mv_pricing::{PricingPolicy, UsageLedger};
 use mv_select::{
     local_search, IncrementalEvaluator, Outcome, Scenario, SelectionProblem, SolverKind,
@@ -29,6 +41,9 @@ use mv_units::{Gb, Hours, Months};
 use serde::{Deserialize, Serialize};
 
 use crate::{AdvisorError, Domain};
+
+#[cfg(test)]
+mod reference;
 
 /// How candidate views are generated from the lattice (the paper's
 /// "existing materialized view selection method").
@@ -198,6 +213,24 @@ pub struct MeasuredCandidate {
     pub charge: ViewCharge,
 }
 
+/// The engine passes one advisor's measurement made, owned by that
+/// advisor. Every group-by the metering needs — one per candidate view
+/// and one per workload query — is either a base scan or a roll-up, so
+/// `base_scans + rollups` is the candidates metered plus the queries.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MeterStats {
+    /// Group-bys over the base table: candidates with no built ancestor
+    /// and workload queries no built view answers.
+    pub base_scans: u64,
+    /// Group-bys over a built view instead: candidates rolled up from
+    /// their smallest built ancestor and workload queries answered from
+    /// the smallest built view that can.
+    pub rollups: u64,
+    /// Answer probes, one per (candidate, query it answers), metered
+    /// from the view's shape without running them.
+    pub probes: u64,
+}
+
 /// The built advisor: measured workload + candidates + selection problem.
 #[derive(Debug)]
 pub struct Advisor {
@@ -207,6 +240,7 @@ pub struct Advisor {
     queries: Vec<AggQuery>,
     measured: Vec<MeasuredCandidate>,
     problem: SelectionProblem,
+    meter_stats: MeterStats,
 }
 
 /// The shared measurement context: validated instance capacity, the
@@ -226,6 +260,7 @@ pub(crate) struct CandidateMeter<'a> {
     cloud_rows: f64,
     queries: Vec<AggQuery>,
     delta: Option<Table>,
+    stats: Cell<MeterStats>,
 }
 
 impl<'a> CandidateMeter<'a> {
@@ -284,6 +319,7 @@ impl<'a> CandidateMeter<'a> {
             cloud_rows,
             queries,
             delta,
+            stats: Cell::default(),
         })
     }
 
@@ -311,14 +347,48 @@ impl<'a> CandidateMeter<'a> {
             .map_err(AdvisorError::from)
     }
 
-    /// Executes the workload on the base table and derives its charges
-    /// (the paper's step 1).
-    pub(crate) fn workload_charges(&self) -> Result<Vec<QueryCharge>, AdvisorError> {
+    /// The view a group-by for `query` reads: the smallest in `built`
+    /// able to answer it ([`smallest_answering`], the catalog's routing
+    /// rule), or `None` for the base table. Tallies the pass either way.
+    fn source<'b>(
+        &self,
+        query: &AggQuery,
+        built: &'b [MeasuredCandidate],
+    ) -> Option<&'b MaterializedView> {
+        let source =
+            smallest_answering(built.iter().map(|m| &m.view), query).map(|i| &built[i].view);
+        if source.is_some() {
+            self.tally(|s| s.rollups += 1);
+            mv_obs::inc(Counter::MeterRollups);
+        } else {
+            self.tally(|s| s.base_scans += 1);
+            mv_obs::inc(Counter::MeterBaseScans);
+        }
+        source
+    }
+
+    fn tally(&self, count: impl FnOnce(&mut MeterStats)) {
+        let mut stats = self.stats.get();
+        count(&mut stats);
+        self.stats.set(stats);
+    }
+
+    /// Meters the workload and derives its charges (step 3): each query
+    /// is answered from the smallest view in `built` that can, or scanned
+    /// from the base table, and charged the base scan.
+    pub(crate) fn workload_charges(
+        &self,
+        built: &[MeasuredCandidate],
+    ) -> Result<Vec<QueryCharge>, AdvisorError> {
+        mv_obs::span!("meter/workload");
+        let base = &self.domain.base;
         let mut charges = Vec::with_capacity(self.queries.len());
         for (q, lq) in self.queries.iter().zip(&self.domain.workload.queries) {
-            let (out, stats) = q
-                .execute_with_threads(&self.domain.base, self.config.threads)
-                .map_err(AdvisorError::from)?;
+            let (out, stats) = match self.source(q, built) {
+                Some(view) => q.execute_via(view, base),
+                None => q.execute_with_threads(base, self.config.threads),
+            }
+            .map_err(AdvisorError::from)?;
             let (result_size, base_time) = match self.config.sizing {
                 SizingMode::MeasuredScaled => (
                     self.scale.bytes_to_cloud(stats.bytes_out),
@@ -345,9 +415,35 @@ impl<'a> CandidateMeter<'a> {
         Ok(charges)
     }
 
-    /// Materializes and meters one candidate cuboid (the paper's steps
-    /// 3 & 4 for a single view).
-    pub(crate) fn measure(&self, cuboid: Cuboid) -> Result<MeasuredCandidate, AdvisorError> {
+    /// Measures `cuboids` finest first, so each one rolls up from its
+    /// smallest built ancestor, and returns them in the given order.
+    pub(crate) fn measure_all(
+        &self,
+        cuboids: Vec<Cuboid>,
+    ) -> Result<Vec<MeasuredCandidate>, AdvisorError> {
+        // Rank (total level count) strictly grows along the derivability
+        // order, so every ancestor in the pool is built before its
+        // descendants.
+        let mut order: Vec<usize> = (0..cuboids.len()).collect();
+        order.sort_by_key(|&i| Reverse(cuboids[i].rank()));
+        let mut built = Vec::with_capacity(order.len());
+        for &i in &order {
+            let mc = self.measure(cuboids[i].clone(), &built)?;
+            built.push(mc);
+        }
+        let mut indexed: Vec<(usize, MeasuredCandidate)> = order.into_iter().zip(built).collect();
+        indexed.sort_by_key(|(i, _)| *i);
+        Ok(indexed.into_iter().map(|(_, mc)| mc).collect())
+    }
+
+    /// Materializes and meters one candidate cuboid (steps 2 and 4 for a
+    /// single view), rolled up from the smallest view in `built` that
+    /// answers it, or scanned from the base table.
+    pub(crate) fn measure(
+        &self,
+        cuboid: Cuboid,
+        built: &[MeasuredCandidate],
+    ) -> Result<MeasuredCandidate, AdvisorError> {
         let label = self.domain.lattice.label(&cuboid);
         let cols = self.domain.lattice.key_columns(&cuboid);
         let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
@@ -356,9 +452,15 @@ impl<'a> CandidateMeter<'a> {
             &col_refs,
             &[AggSpec::sum(self.domain.measure.clone())],
         );
-        let view =
-            MaterializedView::materialize_with_threads(def, &self.domain.base, self.config.threads)
-                .map_err(AdvisorError::from)?;
+        let view = {
+            mv_obs::span!("meter/materialize");
+            let base = &self.domain.base;
+            match self.source(&def.as_query(), built) {
+                Some(parent) => MaterializedView::rollup(def, parent, base),
+                None => MaterializedView::materialize_with_threads(def, base, self.config.threads),
+            }
+            .map_err(AdvisorError::from)?
+        };
         let build = *view.build_stats();
         let view_rows_engine = view.data().num_rows().max(1) as f64;
         let view_rows_cloud = self.cloud_groups(&cuboid);
@@ -366,6 +468,7 @@ impl<'a> CandidateMeter<'a> {
         // Maintenance: incremental refresh of one monthly delta batch.
         let maintenance = match &self.delta {
             Some(d) if d.num_rows() > 0 => {
+                mv_obs::span!("meter/refresh");
                 let mut clone = view.clone();
                 let stats = clone.refresh_incremental(d).map_err(AdvisorError::from)?;
                 match self.config.sizing {
@@ -394,7 +497,7 @@ impl<'a> CandidateMeter<'a> {
                 let width = view.data().heap_bytes() as f64 / view_rows_engine;
                 (
                     Gb::from_bytes((view_rows_cloud * width) as u64),
-                    // Building a view scans the whole base table.
+                    // Building a view is charged the whole base scan.
                     self.scan_hours(build.bytes_scanned, self.engine_rows, self.cloud_rows)?,
                 )
             }
@@ -406,9 +509,13 @@ impl<'a> CandidateMeter<'a> {
             maintenance,
             self.queries.len(),
         );
+        // Answer probes: only the scanned bytes feed the charge, so each
+        // is metered from the view's shape rather than run.
+        mv_obs::span!("meter/answer");
         for (i, q) in self.queries.iter().enumerate() {
             if view.can_answer(q).is_ok() {
-                let (_, stats) = view.answer(q).map_err(AdvisorError::from)?;
+                let stats = view.meter_answer(q).map_err(AdvisorError::from)?;
+                self.tally(|s| s.probes += 1);
                 let t = match self.config.sizing {
                     SizingMode::MeasuredScaled => self
                         .config
@@ -448,30 +555,20 @@ impl Advisor {
     pub fn build(domain: Domain, config: AdvisorConfig) -> Result<Advisor, AdvisorError> {
         let meter = CandidateMeter::new(&domain, &config)?;
 
-        // 1. Measure the workload on the base table.
-        let charges = meter.workload_charges()?;
+        // 1–2. Generate, materialize and meter every candidate.
+        let measured = meter.measure_all(candidate_cuboids(&domain, &config))?;
 
-        // 2. Generate candidate cuboids.
-        let estimator = SizeEstimator::new(domain.base.num_rows() as u64);
-        let cuboids: Vec<Cuboid> = match config.candidates {
-            CandidateStrategy::FullLattice => candidates::full_lattice(&domain.lattice),
-            CandidateStrategy::WorkloadClosure => {
-                candidates::workload_closure(&domain.lattice, &domain.workload)
-            }
-            CandidateStrategy::HruGreedy(k) => {
-                candidates::hru_greedy(&domain.lattice, &estimator, &domain.workload, k)
-            }
-        };
-
-        // 3 & 4. Materialize and meter every candidate.
-        let mut measured = Vec::with_capacity(cuboids.len());
-        for cuboid in cuboids {
-            measured.push(meter.measure(cuboid)?);
-        }
+        // 3–4. Meter the workload from the built views.
+        let charges = meter.workload_charges(&measured)?;
 
         // 5. Assemble the selection problem.
         let model = meter.cost_model(charges);
-        let CandidateMeter { scale, queries, .. } = meter;
+        let CandidateMeter {
+            scale,
+            queries,
+            stats,
+            ..
+        } = meter;
         let problem =
             SelectionProblem::new(model, measured.iter().map(|m| m.charge.clone()).collect());
 
@@ -482,6 +579,7 @@ impl Advisor {
             queries,
             measured,
             problem,
+            meter_stats: stats.into_inner(),
         })
     }
 
@@ -512,7 +610,8 @@ impl Advisor {
         streaming: StreamingConfig,
     ) -> Result<(Advisor, Outcome, StreamingReport), AdvisorError> {
         let meter = CandidateMeter::new(&domain, &config)?;
-        let charges = meter.workload_charges()?;
+        // No view is built yet, so the workload scans the base table.
+        let charges = meter.workload_charges(&[])?;
         let model = meter.cost_model(charges);
         let mut ev = IncrementalEvaluator::from_problem(SelectionProblem::new(model, Vec::new()));
         let baseline = ev.problem().baseline();
@@ -539,7 +638,7 @@ impl Advisor {
         for cuboid in stream.by_ref() {
             pulled += 1;
             let before = current.clone();
-            let mc = meter.measure(cuboid)?;
+            let mc = meter.measure(cuboid, &measured)?;
             let k = ev.add_candidate(mc.charge.clone());
             measured.push(mc);
             // Admission probe: select the newcomer iff it improves the
@@ -599,7 +698,12 @@ impl Advisor {
         // the batch path guarantees); the cost/time values are identical
         // to the zero-candidate baseline used during the stream.
         let outcome = Outcome::new(best, problem.baseline(), scenario, SolverKind::LocalSearch);
-        let CandidateMeter { scale, queries, .. } = meter;
+        let CandidateMeter {
+            scale,
+            queries,
+            stats,
+            ..
+        } = meter;
         let advisor = Advisor {
             domain,
             config,
@@ -607,6 +711,7 @@ impl Advisor {
             queries,
             measured,
             problem,
+            meter_stats: stats.into_inner(),
         };
         let report = StreamingReport {
             pulled,
@@ -635,6 +740,11 @@ impl Advisor {
     /// The configuration.
     pub fn config(&self) -> &AdvisorConfig {
         &self.config
+    }
+
+    /// The engine passes this advisor's measurement made.
+    pub fn meter_stats(&self) -> MeterStats {
+        self.meter_stats
     }
 
     /// The engine-to-cloud scale factor in use.
@@ -831,6 +941,20 @@ fn dominates_within(a: &ViewCharge, b: &ViewCharge, epsilon: f64) -> bool {
         }
     }
     strict
+}
+
+/// The candidate cuboids `config.candidates` generates over `domain`.
+fn candidate_cuboids(domain: &Domain, config: &AdvisorConfig) -> Vec<Cuboid> {
+    match config.candidates {
+        CandidateStrategy::FullLattice => candidates::full_lattice(&domain.lattice),
+        CandidateStrategy::WorkloadClosure => {
+            candidates::workload_closure(&domain.lattice, &domain.workload)
+        }
+        CandidateStrategy::HruGreedy(k) => {
+            let estimator = SizeEstimator::new(domain.base.num_rows() as u64);
+            candidates::hru_greedy(&domain.lattice, &estimator, &domain.workload, k)
+        }
+    }
 }
 
 /// A monthly insert batch for maintenance metering: `fraction` of the base
@@ -1178,6 +1302,50 @@ mod tests {
         assert!(!r_stop.stopped_early);
         assert_eq!(r_stop.pulled, r_full.pulled);
         assert_eq!(o_stop.evaluation, o_full.evaluation);
+    }
+
+    #[test]
+    fn roll_ups_leave_two_base_scans() {
+        // The two finest non-base cuboids have no built ancestor; every
+        // other candidate and all eight queries roll up from views.
+        let a =
+            Advisor::build(sales_domain(400_000, 8, 1.0, 42), AdvisorConfig::default()).unwrap();
+        let probes = a
+            .candidates()
+            .iter()
+            .map(|m| m.charge.profile.query_ids().len() as u64)
+            .sum();
+        assert_eq!(
+            a.meter_stats(),
+            MeterStats {
+                base_scans: 2,
+                rollups: 13 + 8,
+                probes,
+            }
+        );
+        // Q9 groups by the base cuboid, which no candidate answers.
+        let a = Advisor::build(sales_domain(2_000, 10, 1.0, 42), AdvisorConfig::default()).unwrap();
+        assert_eq!(a.meter_stats().base_scans, 3);
+        assert_eq!(a.meter_stats().rollups, 13 + 9);
+    }
+
+    #[test]
+    fn streaming_meters_the_workload_on_the_base() {
+        // The workload is metered before any view exists; each pulled
+        // candidate then rolls up from the live pool when it can.
+        let domain = sales_domain(1_200, 4, 2.0, 42);
+        let (advisor, _, report) = Advisor::solve_streaming(
+            domain,
+            AdvisorConfig::default(),
+            Scenario::tradeoff_normalized(0.5),
+            StreamingConfig::default(),
+        )
+        .unwrap();
+        let stats = advisor.meter_stats();
+        // Four workload scans, then at least the first pull, which has
+        // no pool to roll up from.
+        assert!(stats.base_scans > 4);
+        assert_eq!(stats.base_scans + stats.rollups, 4 + report.pulled as u64);
     }
 
     #[test]

@@ -70,8 +70,8 @@ pub mod service;
 pub mod whatif;
 
 pub use advisor::{
-    Advisor, AdvisorConfig, CandidateStrategy, MeasuredCandidate, SizingMode, StreamStrategy,
-    StreamingConfig, StreamingReport,
+    Advisor, AdvisorConfig, CandidateStrategy, MeasuredCandidate, MeterStats, SizingMode,
+    StreamStrategy, StreamingConfig, StreamingReport,
 };
 pub use calibrate::{CalibrationConfig, CalibrationReport, EpochCalibration};
 pub use catalog::{CandidateCatalog, HighWaterMark};

@@ -95,12 +95,8 @@ impl ViewCatalog {
     /// smallest by stored row count, which minimises the scan and therefore
     /// the simulated processing time.
     pub fn best_view_for(&self, query: &AggQuery) -> Option<Arc<MaterializedView>> {
-        self.views
-            .read()
-            .iter()
-            .filter(|(_, v)| v.can_answer(query).is_ok())
-            .min_by_key(|(_, v)| v.data().num_rows())
-            .map(|(_, v)| Arc::clone(v))
+        let views = self.views.read();
+        smallest_answering(views.iter().map(|(_, v)| &**v), query).map(|i| Arc::clone(&views[i].1))
     }
 
     /// Executes `query`, answering from the best view when one applies and
@@ -122,6 +118,22 @@ impl ViewCatalog {
             }
         }
     }
+}
+
+/// Position of the smallest view in `views` able to answer `query` —
+/// smallest by stored row count, the first of equals on a tie. This is
+/// the catalog's routing rule ([`ViewCatalog::best_view_for`]), shared
+/// with callers that keep their own view pools.
+pub fn smallest_answering<'a>(
+    views: impl IntoIterator<Item = &'a MaterializedView>,
+    query: &AggQuery,
+) -> Option<usize> {
+    views
+        .into_iter()
+        .enumerate()
+        .filter(|(_, v)| v.can_answer(query).is_ok())
+        .min_by_key(|(_, v)| v.data().num_rows())
+        .map(|(i, _)| i)
 }
 
 #[cfg(test)]

@@ -4,13 +4,18 @@
 //! codes to distinct strings. Group-by keys then compare as integers, which
 //! is what makes the hash aggregation cheap.
 
-use std::collections::HashMap;
+use crate::fx::FxHashMap;
 
 /// An append-only mapping between distinct strings and dense `u32` codes.
+///
+/// The index is keyed with the engine's fixed-seed hasher, not a
+/// per-process random one: a clone copies the index in bucket order, so
+/// with a random seed the order of the clone's allocations — and the heap
+/// layout every later allocation meets — would change from run to run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Dictionary {
     values: Vec<String>,
-    index: HashMap<String, u32>,
+    index: FxHashMap<String, u32>,
 }
 
 impl Dictionary {
@@ -70,6 +75,21 @@ impl Dictionary {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn index_order_is_the_same_in_every_build() {
+        let build = || {
+            let mut d = Dictionary::new();
+            for s in ["France", "Italy", "Spain", "Auvergne", "Lazio", "Aragon"] {
+                d.intern(s);
+            }
+            d
+        };
+        let order = |d: &Dictionary| d.index.keys().cloned().collect::<Vec<_>>();
+        let first = order(&build());
+        assert_eq!(order(&build()), first);
+        assert_eq!(order(&build().clone()), first);
+    }
 
     #[test]
     fn intern_is_idempotent() {

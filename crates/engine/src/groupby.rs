@@ -9,7 +9,7 @@
 
 use crate::agg::{AggExpr, AggState};
 use crate::fx::FxHashMap;
-use crate::{Column, DataType, EngineError, ExecStats, Field, Schema, Table};
+use crate::{Column, DataType, EngineError, ExecStats, Field, Predicate, Schema, Table};
 
 /// A lowered aggregate with its output column name.
 #[derive(Debug, Clone)]
@@ -59,12 +59,14 @@ impl Partial {
 ///   output column order);
 /// * `aggs` — lowered aggregate expressions with output names;
 /// * `mask` — optional row filter (from a predicate evaluation).
+///
+/// The work it performed is [`meter`]ed separately, from shapes alone.
 pub(crate) fn hash_group_by(
     table: &Table,
     group_cols: &[usize],
     aggs: &[LoweredAgg],
     mask: Option<&[bool]>,
-) -> Result<(Table, ExecStats), EngineError> {
+) -> Result<Table, EngineError> {
     let partial = aggregate_range(table, group_cols, aggs, mask, 0, table.num_rows());
     build_output(table, group_cols, aggs, partial, mask)
 }
@@ -78,7 +80,7 @@ pub(crate) fn parallel_group_by(
     aggs: &[LoweredAgg],
     mask: Option<&[bool]>,
     threads: usize,
-) -> Result<(Table, ExecStats), EngineError> {
+) -> Result<Table, EngineError> {
     let threads = threads.max(1);
     let rows = table.num_rows();
     if threads == 1 || rows < 2 * threads {
@@ -203,15 +205,14 @@ fn aggregate_range(
     partial
 }
 
-/// Emits the output table (group columns + one Int column per aggregate)
-/// and the metering record.
+/// Emits the output table: group columns + one Int column per aggregate.
 fn build_output(
     table: &Table,
     group_cols: &[usize],
     aggs: &[LoweredAgg],
     partial: Partial,
     mask: Option<&[bool]>,
-) -> Result<(Table, ExecStats), EngineError> {
+) -> Result<Table, EngineError> {
     let in_schema = table.schema();
     let mut fields: Vec<Field> = Vec::with_capacity(group_cols.len() + aggs.len());
     for &c in group_cols {
@@ -223,6 +224,13 @@ fn build_output(
     let out_schema = Schema::new(fields)?;
 
     let n_groups = partial.rep_rows.len();
+    // Selected rows bound the group count.
+    debug_assert!(
+        n_groups
+            <= mask
+                .map_or(table.num_rows(), |m| m.iter().filter(|&&b| b).count())
+                .max(1)
+    );
     let mut out_cols: Vec<Column> = out_schema
         .fields()
         .iter()
@@ -244,18 +252,39 @@ fn build_output(
         }
     }
 
-    let out = Table::new(out_schema, out_cols)?;
+    Table::new(out_schema, out_cols)
+}
 
-    // Metering: a columnar scan reads every referenced input column over all
-    // rows (mask evaluation cost is metered by the caller that built the
-    // mask). Aggregate inputs are counted per reference.
-    let rows = table.num_rows() as u64;
-    let mut scanned_width: u64 = group_cols
+/// Metering of one aggregation pass over `rows` rows of `schema` — the
+/// one place the engine's width rules live, so a pass metered from
+/// shapes alone reports what executing it reports.
+///
+/// A columnar scan reads every referenced input column over all rows:
+/// the group columns, the predicate's columns (mask evaluation) and each
+/// aggregate input, counted per reference. `out`, the pass's result,
+/// fills in the produced side (rows, bytes, one group per row); without
+/// it only the scan side is set.
+pub(crate) fn meter(
+    schema: &Schema,
+    rows: usize,
+    group_cols: &[usize],
+    aggs: &[LoweredAgg],
+    predicate: Option<&Predicate>,
+    out: Option<&Table>,
+) -> ExecStats {
+    let mut width: u64 = group_cols
         .iter()
-        .map(|&c| in_schema.fields()[c].dtype.byte_width())
+        .map(|&c| schema.fields()[c].dtype.byte_width())
         .sum();
+    if let Some(p) = predicate {
+        width += p
+            .columns()
+            .iter()
+            .map(|c| schema.field(c).map(|f| f.dtype.byte_width()).unwrap_or(0))
+            .sum::<u64>();
+    }
     for a in aggs {
-        scanned_width += match a.expr {
+        width += match a.expr {
             AggExpr::Sum { .. }
             | AggExpr::Min { .. }
             | AggExpr::Max { .. }
@@ -264,20 +293,18 @@ fn build_output(
             AggExpr::RatioOfSums { .. } => 16,
         };
     }
-    let selected = match mask {
-        Some(m) => m.iter().filter(|&&b| b).count() as u64,
-        None => rows,
-    };
-    let stats = ExecStats {
+    let rows = rows as u64;
+    let (rows_out, bytes_out) = out.map_or((0, 0), |t| {
+        let n = t.num_rows() as u64;
+        (n, n * t.schema().row_byte_width())
+    });
+    ExecStats {
         rows_scanned: rows,
-        bytes_scanned: rows * scanned_width,
-        rows_out: out.num_rows() as u64,
-        bytes_out: out.num_rows() as u64 * out.schema().row_byte_width(),
-        groups: n_groups as u64,
-    };
-    // Selected rows bound the group count.
-    debug_assert!(n_groups as u64 <= selected.max(1));
-    Ok((out, stats))
+        bytes_scanned: rows * width,
+        rows_out,
+        bytes_out,
+        groups: rows_out,
+    }
 }
 
 #[cfg(test)]
@@ -313,7 +340,15 @@ mod tests {
     #[test]
     fn groups_and_sums() {
         let t = sales();
-        let (out, stats) = hash_group_by(&t, &[0, 1], &sum_profit(), None).unwrap();
+        let out = hash_group_by(&t, &[0, 1], &sum_profit(), None).unwrap();
+        let stats = meter(
+            t.schema(),
+            t.num_rows(),
+            &[0, 1],
+            &sum_profit(),
+            None,
+            Some(&out),
+        );
         let rows = out.to_sorted_rows();
         assert_eq!(
             rows,
@@ -333,7 +368,7 @@ mod tests {
     #[test]
     fn empty_group_key_is_grand_total() {
         let t = sales();
-        let (out, _) = hash_group_by(&t, &[], &sum_profit(), None).unwrap();
+        let out = hash_group_by(&t, &[], &sum_profit(), None).unwrap();
         assert_eq!(out.num_rows(), 1);
         assert_eq!(out.row(0), vec![Value::Int(148)]);
     }
@@ -342,7 +377,7 @@ mod tests {
     fn mask_filters_rows() {
         let t = sales();
         let mask = vec![true, false, true, false];
-        let (out, _) = hash_group_by(&t, &[1], &sum_profit(), Some(&mask)).unwrap();
+        let out = hash_group_by(&t, &[1], &sum_profit(), Some(&mask)).unwrap();
         assert_eq!(
             out.to_sorted_rows(),
             vec![
@@ -361,9 +396,12 @@ mod tests {
             expr: AggExpr::Sum { col: 1 },
             alias: "s".into(),
         }];
-        let (out, stats) = hash_group_by(&t, &[0], &aggs, None).unwrap();
+        let out = hash_group_by(&t, &[0], &aggs, None).unwrap();
         assert_eq!(out.num_rows(), 0);
-        assert_eq!(stats.groups, 0);
+        assert_eq!(
+            meter(t.schema(), 0, &[0], &aggs, None, Some(&out)).groups,
+            0
+        );
     }
 
     #[test]
@@ -407,9 +445,9 @@ mod tests {
                 alias: "avg_v".into(),
             },
         ];
-        let (serial, _) = hash_group_by(&t, &[0, 1], &aggs, None).unwrap();
+        let serial = hash_group_by(&t, &[0, 1], &aggs, None).unwrap();
         for threads in [2, 3, 8] {
-            let (par, _) = parallel_group_by(&t, &[0, 1], &aggs, None, threads).unwrap();
+            let par = parallel_group_by(&t, &[0, 1], &aggs, None, threads).unwrap();
             assert_eq!(
                 serial.to_sorted_rows(),
                 par.to_sorted_rows(),
@@ -430,15 +468,15 @@ mod tests {
             expr: AggExpr::Sum { col: 1 },
             alias: "s".into(),
         }];
-        let (serial, _) = hash_group_by(&t, &[0], &aggs, Some(&mask)).unwrap();
-        let (par, _) = parallel_group_by(&t, &[0], &aggs, Some(&mask), 4).unwrap();
+        let serial = hash_group_by(&t, &[0], &aggs, Some(&mask)).unwrap();
+        let par = parallel_group_by(&t, &[0], &aggs, Some(&mask), 4).unwrap();
         assert_eq!(serial.to_sorted_rows(), par.to_sorted_rows());
     }
 
     #[test]
     fn small_input_falls_back_to_serial() {
         let t = sales();
-        let (out, _) = parallel_group_by(&t, &[1], &sum_profit(), None, 8).unwrap();
+        let out = parallel_group_by(&t, &[1], &sum_profit(), None, 8).unwrap();
         assert_eq!(out.num_rows(), 2);
     }
 }

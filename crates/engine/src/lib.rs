@@ -17,7 +17,8 @@
 //! * [`query`](AggQuery) — the roll-up query class, executed with full
 //!   per-operator metering;
 //! * [`view`](MaterializedView) — materialize candidates (build work is
-//!   metered) and answer queries from them;
+//!   metered), roll them up from built ancestors, and answer queries
+//!   from them;
 //! * [`catalog`](ViewCatalog) — best-view routing with base-table
 //!   fallback, plus [`ViewCatalog::refresh_incremental_all`] for
 //!   epoch-boundary maintenance;
@@ -71,7 +72,7 @@ mod value;
 mod view;
 
 pub use agg::{AggFunc, AggSpec};
-pub use catalog::ViewCatalog;
+pub use catalog::{smallest_answering, ViewCatalog};
 pub use column::Column;
 pub use datagen::SalesConfig;
 pub use dict::Dictionary;

@@ -3,8 +3,10 @@
 use serde::{Deserialize, Serialize};
 
 use crate::agg::AggExpr;
-use crate::groupby::{hash_group_by, parallel_group_by, LoweredAgg};
-use crate::{AggFunc, AggSpec, DataType, EngineError, ExecStats, Predicate, Schema, Table};
+use crate::groupby::{hash_group_by, meter, parallel_group_by, LoweredAgg};
+use crate::{
+    AggFunc, AggSpec, DataType, EngineError, ExecStats, MaterializedView, Predicate, Schema, Table,
+};
 
 /// A roll-up aggregation query: `SELECT group_by…, agg(…)… FROM t [WHERE …]
 /// GROUP BY group_by…`.
@@ -103,39 +105,51 @@ impl AggQuery {
         threads: usize,
     ) -> Result<(Table, ExecStats), EngineError> {
         let (group_cols, lowered) = self.plan(table.schema())?;
-        let (mask, mut pred_stats) = match &self.predicate {
-            Some(p) => {
-                let mask = p.eval(table)?;
-                // Metering: predicate evaluation scans its referenced columns.
-                let width: u64 = p
-                    .columns()
-                    .iter()
-                    .map(|c| {
-                        table
-                            .schema()
-                            .field(c)
-                            .map(|f| f.dtype.byte_width())
-                            .unwrap_or(0)
-                    })
-                    .sum();
-                let stats = ExecStats {
-                    rows_scanned: table.num_rows() as u64,
-                    bytes_scanned: table.num_rows() as u64 * width,
-                    ..ExecStats::default()
-                };
-                (Some(mask), stats)
-            }
-            None => (None, ExecStats::default()),
+        let mask = match &self.predicate {
+            Some(p) => Some(p.eval(table)?),
+            None => None,
         };
-        let (out, agg_stats) = if threads > 1 {
+        let out = if threads > 1 {
             parallel_group_by(table, &group_cols, &lowered, mask.as_deref(), threads)?
         } else {
             hash_group_by(table, &group_cols, &lowered, mask.as_deref())?
         };
-        pred_stats.merge(&agg_stats);
-        // Rows were scanned once, not twice; keep the aggregation's count.
-        pred_stats.rows_scanned = agg_stats.rows_scanned;
-        Ok((out, pred_stats))
+        let stats = meter(
+            table.schema(),
+            table.num_rows(),
+            &group_cols,
+            &lowered,
+            self.predicate.as_ref(),
+            Some(&out),
+        );
+        Ok((out, stats))
+    }
+
+    /// The stats [`AggQuery::execute`] reports for a run over `table`
+    /// that yields `out`, computed from their shapes without scanning.
+    pub fn meter(&self, table: &Table, out: &Table) -> Result<ExecStats, EngineError> {
+        let (group_cols, lowered) = self.plan(table.schema())?;
+        Ok(meter(
+            table.schema(),
+            table.num_rows(),
+            &group_cols,
+            &lowered,
+            self.predicate.as_ref(),
+            Some(out),
+        ))
+    }
+
+    /// Answers the query from `view` — a group-by over the view's rows
+    /// only — but reports the stats executing it over `base` would: the
+    /// same result, charged as the base scan.
+    pub fn execute_via(
+        &self,
+        view: &MaterializedView,
+        base: &Table,
+    ) -> Result<(Table, ExecStats), EngineError> {
+        let (out, _) = view.answer(self)?;
+        let stats = self.meter(base, &out)?;
+        Ok((out, stats))
     }
 }
 

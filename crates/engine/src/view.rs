@@ -13,7 +13,7 @@
 //! view key columns.
 
 use crate::agg::AggExpr;
-use crate::groupby::LoweredAgg;
+use crate::groupby::{hash_group_by, meter, LoweredAgg};
 use crate::{AggFunc, AggQuery, AggSpec, EngineError, ExecStats, Table};
 
 /// Canonical view definition.
@@ -196,6 +196,63 @@ impl MaterializedView {
     /// (property-tested), but the scan touches only `self.data`'s rows —
     /// which is where the paper's `t_iV < t_i` speedup comes from.
     pub fn answer(&self, query: &AggQuery) -> Result<(Table, ExecStats), EngineError> {
+        let (group_cols, lowered) = self.plan_answer(query)?;
+        let mask = match &query.predicate {
+            Some(p) => Some(p.eval(&self.data)?),
+            None => None,
+        };
+        let out = hash_group_by(&self.data, &group_cols, &lowered, mask.as_deref())?;
+        let stats = meter(
+            self.data.schema(),
+            self.data.num_rows(),
+            &group_cols,
+            &lowered,
+            query.predicate.as_ref(),
+            Some(&out),
+        );
+        Ok((out, stats))
+    }
+
+    /// The scan side of [`MaterializedView::answer`]'s stats
+    /// (`rows_scanned`, `bytes_scanned`), computed from the view's shape
+    /// without running the group-by; the produced side stays zero. Same
+    /// checks and errors as `answer`.
+    pub fn meter_answer(&self, query: &AggQuery) -> Result<ExecStats, EngineError> {
+        let (group_cols, lowered) = self.plan_answer(query)?;
+        Ok(meter(
+            self.data.schema(),
+            self.data.num_rows(),
+            &group_cols,
+            &lowered,
+            query.predicate.as_ref(),
+            None,
+        ))
+    }
+
+    /// Computes the view `def` by re-aggregating `parent`'s stored
+    /// measures instead of scanning `base` — a lattice roll-up. The data
+    /// equals [`MaterializedView::materialize`]`(def, base)` row for row
+    /// when `parent` was built serially, and the build stats are the
+    /// base scan's, metered from `base`'s shape. Errors with
+    /// [`EngineError::ViewCannotAnswer`] when `parent` cannot answer
+    /// `def`'s defining query.
+    pub fn rollup(
+        def: ViewDefinition,
+        parent: &MaterializedView,
+        base: &Table,
+    ) -> Result<Self, EngineError> {
+        let (data, build_stats) = def.as_query().execute_via(parent, base)?;
+        Ok(MaterializedView {
+            def,
+            data,
+            build_stats,
+        })
+    }
+
+    /// Lowers `query` to a group-by over the stored table: SUM, MIN and
+    /// MAX re-aggregate their partials, COUNT sums the stored counts and
+    /// AVG is the ratio of the re-aggregated SUM and COUNT.
+    fn plan_answer(&self, query: &AggQuery) -> Result<(Vec<usize>, Vec<LoweredAgg>), EngineError> {
         self.can_answer(query)?;
         let schema = self.data.schema();
         let mut group_cols = Vec::with_capacity(query.group_by.len());
@@ -212,7 +269,6 @@ impl MaterializedView {
         let mut lowered = Vec::with_capacity(query.aggregates.len());
         for spec in &query.aggregates {
             let expr = match spec.func {
-                // SUM over a view re-aggregates the stored SUM partials.
                 AggFunc::Sum => AggExpr::Sum {
                     col: schema.index_of(
                         self.def
@@ -220,7 +276,6 @@ impl MaterializedView {
                             .expect("checked by can_answer"),
                     )?,
                 },
-                // COUNT re-aggregates as a SUM of stored counts.
                 AggFunc::Count => AggExpr::Sum {
                     col: schema.index_of(count_alias.expect("checked by can_answer"))?,
                 },
@@ -238,7 +293,6 @@ impl MaterializedView {
                             .expect("checked by can_answer"),
                     )?,
                 },
-                // AVG is the ratio of re-aggregated SUM and COUNT partials.
                 AggFunc::Avg => AggExpr::RatioOfSums {
                     sum_col: schema.index_of(
                         self.def
@@ -253,30 +307,7 @@ impl MaterializedView {
                 alias: spec.alias.clone(),
             });
         }
-        let (mask, mut pred_stats) = match &query.predicate {
-            Some(p) => {
-                let mask = p.eval(&self.data)?;
-                let width: u64 = p
-                    .columns()
-                    .iter()
-                    .map(|c| schema.field(c).map(|f| f.dtype.byte_width()).unwrap_or(0))
-                    .sum();
-                (
-                    Some(mask),
-                    ExecStats {
-                        rows_scanned: self.data.num_rows() as u64,
-                        bytes_scanned: self.data.num_rows() as u64 * width,
-                        ..ExecStats::default()
-                    },
-                )
-            }
-            None => (None, ExecStats::default()),
-        };
-        let (out, agg_stats) =
-            crate::groupby::hash_group_by(&self.data, &group_cols, &lowered, mask.as_deref())?;
-        pred_stats.merge(&agg_stats);
-        pred_stats.rows_scanned = agg_stats.rows_scanned;
-        Ok((out, pred_stats))
+        Ok((group_cols, lowered))
     }
 }
 

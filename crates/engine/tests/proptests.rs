@@ -6,8 +6,8 @@
 //! the paper's time savings rest on this rewrite being lossless.
 
 use mv_engine::{
-    AggQuery, AggSpec, CmpOp, DataType, MaterializedView, Predicate, Table, TableBuilder, Value,
-    ViewDefinition,
+    AggQuery, AggSpec, CmpOp, DataType, EngineError, ExecStats, MaterializedView, Predicate, Table,
+    TableBuilder, Value, ViewDefinition,
 };
 use proptest::prelude::*;
 
@@ -197,6 +197,139 @@ proptest! {
             .iter()
             .sum();
         prop_assert_eq!(total_in, total_out);
+    }
+}
+
+/// Every group-by column of the sales schema: Int keys then Str keys.
+const KEY_COLUMNS: [&str; 6] = ["year", "month", "day", "country", "region", "department"];
+
+/// The columns of `cols` whose bit is set in `mask`, in order.
+fn pick<'a>(cols: &[&'a str], mask: u8) -> Vec<&'a str> {
+    cols.iter()
+        .enumerate()
+        .filter(|(i, _)| mask >> i & 1 == 1)
+        .map(|(_, c)| *c)
+        .collect()
+}
+
+/// The aggregates whose bit is set in `mask` (SUM, COUNT, MIN, MAX, AVG).
+fn aggregates(mask: u8) -> Vec<AggSpec> {
+    let all = [
+        AggSpec::sum("profit"),
+        AggSpec::count(),
+        AggSpec::min("profit"),
+        AggSpec::max("profit"),
+        AggSpec::avg("profit"),
+    ];
+    (0..all.len())
+        .filter(|i| mask >> i & 1 == 1)
+        .map(|i| all[i].clone())
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A roll-up along any chain top ⊇ parent ⊇ child of key sets and
+    /// measure sets is the view materialized from the base: the same
+    /// data in the same row order, and the base scan's build stats.
+    #[test]
+    fn rollup_equals_materialize(
+        table in arb_sales(80),
+        top_mask in 0u8..64, parent_mask in 0u8..64, child_mask in 0u8..64,
+        top_aggs in 0u8..32, parent_aggs in 0u8..32, child_aggs in 0u8..32,
+    ) {
+        let top_cols = pick(&KEY_COLUMNS, top_mask);
+        let parent_cols = pick(&top_cols, parent_mask);
+        let child_cols = pick(&parent_cols, child_mask);
+        let (parent_aggs, child_aggs) = (top_aggs & parent_aggs, top_aggs & parent_aggs & child_aggs);
+        let top = MaterializedView::materialize(
+            ViewDefinition::canonical("top", &top_cols, &aggregates(top_aggs)),
+            &table,
+        )
+        .unwrap();
+        let parent_def = ViewDefinition::canonical("parent", &parent_cols, &aggregates(parent_aggs));
+        let parent = MaterializedView::rollup(parent_def.clone(), &top, &table).unwrap();
+        prop_assert_eq!(&parent, &MaterializedView::materialize(parent_def, &table).unwrap());
+        let child_def = ViewDefinition::canonical("child", &child_cols, &aggregates(child_aggs));
+        let child = MaterializedView::rollup(child_def.clone(), &parent, &table).unwrap();
+        prop_assert_eq!(child, MaterializedView::materialize(child_def, &table).unwrap());
+    }
+
+    /// Rolling up from a parent that lacks a key column or a measure
+    /// the child needs is a typed error.
+    #[test]
+    fn rollup_from_a_non_ancestor_is_rejected(
+        table in arb_sales(40),
+        parent_mask in 0u8..63, extra in 0usize..6, aggs in 0u8..32,
+    ) {
+        let parent_cols = pick(&KEY_COLUMNS, parent_mask);
+        let parent = MaterializedView::materialize(
+            ViewDefinition::canonical("parent", &parent_cols, &aggregates(aggs)),
+            &table,
+        )
+        .unwrap();
+        // A key column the parent lacks: the first one at or after `extra`.
+        let missing = (0..6)
+            .map(|i| KEY_COLUMNS[(extra + i) % 6])
+            .find(|c| !parent_cols.contains(c))
+            .unwrap();
+        let mut child_cols = parent_cols.clone();
+        child_cols.push(missing);
+        let finer = ViewDefinition::canonical("finer", &child_cols, &aggregates(aggs));
+        prop_assert!(matches!(
+            MaterializedView::rollup(finer, &parent, &table),
+            Err(EngineError::ViewCannotAnswer { .. })
+        ));
+        // MIN and MAX are stored only when requested.
+        if aggs & 0b1100 != 0b1100 {
+            let other = ViewDefinition::canonical("other", &parent_cols, &aggregates(0b1100));
+            prop_assert!(matches!(
+                MaterializedView::rollup(other, &parent, &table),
+                Err(EngineError::ViewCannotAnswer { .. })
+            ));
+        }
+    }
+
+    /// Metering from shapes alone reports what running the group-by
+    /// reports: `AggQuery::meter` equals `execute`'s stats (serial and
+    /// parallel), and `meter_answer` equals the scan side of `answer`'s.
+    #[test]
+    fn shape_metering_equals_execution(
+        table in arb_sales(80),
+        view_mask in 0u8..64, query_mask in 0u8..64, aggs in 1u8..32,
+        year in 1999i64..2004, filtered in prop::bool::ANY, threads in 1usize..4,
+    ) {
+        let mut view_cols = pick(&KEY_COLUMNS, view_mask);
+        if !view_cols.contains(&"year") {
+            view_cols.insert(0, "year");
+        }
+        let mut q = AggQuery::new("q", &pick(&view_cols, query_mask), aggregates(aggs));
+        if filtered {
+            q = q.with_predicate(Predicate::cmp("year", CmpOp::Ge, year));
+        }
+        let (out, stats) = q.execute_with_threads(&table, threads).unwrap();
+        prop_assert_eq!(q.meter(&table, &out).unwrap(), stats);
+        prop_assert_eq!(q.execute(&table).unwrap().1, stats);
+
+        let view = MaterializedView::materialize(
+            ViewDefinition::canonical("v", &view_cols, &aggregates(aggs)),
+            &table,
+        )
+        .unwrap();
+        let (_, answered) = view.answer(&q).unwrap();
+        prop_assert_eq!(
+            view.meter_answer(&q).unwrap(),
+            ExecStats {
+                rows_out: 0,
+                bytes_out: 0,
+                groups: 0,
+                ..answered
+            }
+        );
+        // Answered from the view, metered as the base scan: the serial
+        // run's result in its row order, and its stats.
+        prop_assert_eq!(q.execute_via(&view, &table).unwrap(), q.execute(&table).unwrap());
     }
 }
 

@@ -48,6 +48,9 @@ pub enum Counter {
     EngineRefreshBytes,
     EngineViewBuilds,
     EngineViewRefreshes,
+    // mv-core: advisor candidate metering
+    MeterBaseScans,
+    MeterRollups,
     // mv-core: calibration
     CalibrateSamples,
     // mv-core: AdvisorService stream loop
@@ -61,7 +64,7 @@ pub enum Counter {
 }
 
 /// Number of [`Counter`] variants (length of the backing array).
-pub const COUNT: usize = 36;
+pub const COUNT: usize = 38;
 
 impl Counter {
     /// All variants, in declaration order (index == discriminant).
@@ -95,6 +98,8 @@ impl Counter {
         Counter::EngineRefreshBytes,
         Counter::EngineViewBuilds,
         Counter::EngineViewRefreshes,
+        Counter::MeterBaseScans,
+        Counter::MeterRollups,
         Counter::CalibrateSamples,
         Counter::ServiceIngestEvents,
         Counter::ServiceIngestDuplicates,
@@ -136,6 +141,8 @@ impl Counter {
             Counter::EngineRefreshBytes => "engine/refresh_bytes",
             Counter::EngineViewBuilds => "engine/view_builds",
             Counter::EngineViewRefreshes => "engine/view_refreshes",
+            Counter::MeterBaseScans => "meter/base_scans",
+            Counter::MeterRollups => "meter/rollups",
             Counter::CalibrateSamples => "calibrate/samples",
             Counter::ServiceIngestEvents => "service/ingest_events",
             Counter::ServiceIngestDuplicates => "service/ingest_duplicates",
