@@ -114,6 +114,55 @@ fn market_flat_flag_switches_route_but_not_the_answer() {
     assert_eq!(strip(&tree_out), strip(&flat_out));
 }
 
+/// The multi-epoch reports are pinned byte for byte: each case's
+/// stdout must equal its golden file under `tests/golden/`. A change
+/// that moves any bill, selection, quantile or solve count shows up
+/// here as a diff, not just as a shape change.
+#[test]
+fn multi_epoch_reports_match_golden_bytes() {
+    let small = ["--rows", "500", "--queries", "3", "--alpha", "0.5"];
+    let cases: [(&str, &[&str]); 4] = [
+        ("horizon", &["horizon", "--epochs", "4"]),
+        (
+            "market",
+            &[
+                "market",
+                "--epochs",
+                "4",
+                "--paths",
+                "8",
+                "--volatility",
+                "0.4",
+                "--spot-mean",
+                "0.6",
+                "--commitment",
+            ],
+        ),
+        (
+            "fleet",
+            &["fleet", "--epochs", "4", "--paths", "8", "--commitment"],
+        ),
+        (
+            "fleet_pinned",
+            &[
+                "fleet", "--epochs", "4", "--paths", "8", "--pin", "reserved",
+            ],
+        ),
+    ];
+    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    for (name, args) in cases {
+        let args: Vec<&str> = args.iter().chain(&small).copied().collect();
+        let out = run(&args);
+        assert!(out.status.success(), "{args:?} should exit 0");
+        let want = std::fs::read(golden.join(format!("{name}.json"))).expect("golden file");
+        assert!(
+            out.stdout == want,
+            "{args:?} stdout differs from tests/golden/{name}.json:\n{}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
+}
+
 #[test]
 fn calibrate_emits_a_reconciliation_report() {
     let out = run(&[
