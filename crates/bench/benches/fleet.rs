@@ -11,11 +11,15 @@
 //!    problem and a fresh evaluator repositioned by O(n) flips.
 //! 2. **K-path hedged sweep** — the `solve_fleet` hot loop at the
 //!    `mv-select` layer: K sampled spot paths with a correlated
-//!    crunch regime, each solved over an 8-epoch horizon by
-//!    `EpochChain::solve_fleet` with free placement (the joint
-//!    neighborhood probes ~2n more moves per round) vs the same chain
-//!    pinned all-spot (the single-fleet neighborhood). The delta is
-//!    the price of the placement dimension itself.
+//!    crunch regime, each solved over an 8-epoch horizon as its own
+//!    one-path tree by `EpochChain::solve_tree` with free placement
+//!    (the joint neighborhood probes ~2n more moves per round) vs the
+//!    same chain pinned all-spot (the single-fleet neighborhood), and
+//!    vs `EpochChain::solve_rebuilding` with free placement. The first
+//!    delta is the price of the placement dimension itself, the second
+//!    the warm state handoff.
+//! 3. **scenario tree** — the joint solve over the K = 32 paths'
+//!    shared-prefix tree vs over one one-path tree per path.
 //!
 //! The acceptance bar: the placement-flip probe measurably faster
 //! than rebuild (ratios recorded in ROADMAP.md).
@@ -26,7 +30,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mv_select::epoch::{EpochChain, EpochTree, EpochTreeNode};
 use mv_select::{IncrementalEvaluator, Placement, Scenario, SelectionProblem, SelectionSet};
 use mvcloud::cost::{InterruptionRisk, PoolCharge};
-use mvcloud::market::{CorrelatedHazard, MarketScenario, PriceProcess, SpotMarket};
+use mvcloud::market::{
+    CorrelatedHazard, EpochQuote, MarketPath, MarketScenario, PriceProcess, SpotMarket,
+};
 use mvcloud::ViewCharge;
 
 /// The hot-path shape shared with the other benches (`mv_bench::shapes`).
@@ -36,6 +42,48 @@ const PATHS: usize = 8;
 
 /// The scenario-tree sweep width (the tentpole's acceptance shape).
 const TREE_PATHS: usize = 32;
+
+/// One sampled path solved alone: its chain, the chain's epochs as a
+/// one-path tree, and its per-epoch (reserved rate, spot risk) terms.
+type PathSolve = (EpochChain, EpochTree, Vec<(f64, InterruptionRisk)>);
+
+/// Compiles one sampled path for solving alone.
+fn path_solve(problem: &SelectionProblem, path: &MarketPath) -> PathSolve {
+    let models: Vec<mvcloud::CloudCostModel> = path
+        .quotes
+        .iter()
+        .map(|q| mv_bench::shapes::quote_model(problem, q))
+        .collect();
+    (
+        EpochChain::new(models.clone(), problem.candidates().to_vec()),
+        EpochTree::path(models),
+        path.quotes.iter().map(pool_terms).collect(),
+    )
+}
+
+/// One quote's pool terms over the spot-primary sheet: the reserved
+/// rate relative to spot, and the spot interruption risk.
+fn pool_terms(q: &EpochQuote) -> (f64, InterruptionRisk) {
+    (
+        1.0 / q.factors.compute,
+        InterruptionRisk::new(q.interruption),
+    )
+}
+
+/// The fleet transform over per-epoch (or per-node) pool terms.
+fn pool_reprice(
+    pools: &[(f64, InterruptionRisk)],
+) -> impl Fn(usize, usize, Placement, &ViewCharge) -> ViewCharge + '_ {
+    move |i: usize, _k: usize, p: Placement, c: &ViewCharge| -> ViewCharge {
+        let (reserved_rate, risk) = pools[i];
+        match p {
+            Placement::Spot => risk.adjust(c),
+            Placement::Reserved => {
+                PoolCharge::new(reserved_rate, 1.0, InterruptionRisk::NONE).adjust(c)
+            }
+        }
+    }
+}
 
 /// A volatile discounted spot market with a bursty crunch regime.
 fn crunchy_market(seed: u64) -> MarketScenario {
@@ -110,133 +158,72 @@ fn bench_placement_flip_probe(c: &mut Criterion) {
 fn bench_k_path_hedged_sweep(c: &mut Criterion) {
     let problem = mv_bench::shapes::hot_problem(53);
     let market = crunchy_market(99);
-    let base = problem.model().context();
-    let paths: Vec<(EpochChain, Vec<(f64, InterruptionRisk)>)> = (0..PATHS)
-        .map(|j| {
-            let path = market.path(j);
-            let models = path
-                .quotes
-                .iter()
-                .map(|q| {
-                    let mut ctx = base.clone();
-                    ctx.pricing = q.reprice(&base.pricing);
-                    ctx.instance = ctx
-                        .pricing
-                        .compute
-                        .instance(&base.instance.name)
-                        .expect("bench instance is in the catalog")
-                        .clone();
-                    mvcloud::CloudCostModel::new(ctx)
-                })
-                .collect();
-            let pools = path
-                .quotes
-                .iter()
-                .map(|q| {
-                    (
-                        // Reserved rate over the spot-primary sheet.
-                        1.0 / q.factors.compute,
-                        InterruptionRisk::new(q.interruption),
-                    )
-                })
-                .collect();
-            (
-                EpochChain::new(models, problem.candidates().to_vec()),
-                pools,
-            )
-        })
+    let paths: Vec<PathSolve> = (0..PATHS)
+        .map(|j| path_solve(&problem, &market.path(j)))
         .collect();
     let scenario = Scenario::tradeoff_normalized(0.5);
     let budget = 2 * CANDIDATES + 8;
     let initial = vec![Placement::Spot; CANDIDATES];
-    fn reprice_for(
-        pools: &[(f64, InterruptionRisk)],
-    ) -> impl Fn(usize, usize, Placement, &ViewCharge) -> ViewCharge + '_ {
-        move |e: usize, _k: usize, p: Placement, c: &ViewCharge| -> ViewCharge {
-            let (reserved_rate, risk) = pools[e];
-            match p {
-                Placement::Spot => risk.adjust(c),
-                Placement::Reserved => {
-                    PoolCharge::new(reserved_rate, 1.0, InterruptionRisk::NONE).adjust(c)
-                }
-            }
-        }
-    }
 
     let mut group = c.benchmark_group(format!(
         "fleet/k_path_sweep_k{PATHS}_e{EPOCHS}_n{CANDIDATES}"
     ));
+    // Sanity: warm and rebuild must agree before we time them.
+    for (chain, tree, pools) in &paths {
+        let reprice = pool_reprice(pools);
+        let warm = chain.solve_tree(scenario, budget, tree, &initial, true, &reprice);
+        let rebuilt = chain.solve_rebuilding(scenario, budget, &initial, true, &reprice);
+        for (w, r) in warm[0].iter().zip(&rebuilt) {
+            assert_eq!(w.outcome.evaluation, r.outcome.evaluation);
+            assert_eq!(w.placements, r.placements);
+        }
+    }
+    let sweep = |rebalance: bool| {
+        let mut total = 0usize;
+        for (chain, tree, pools) in &paths {
+            let reprice = pool_reprice(pools);
+            total +=
+                chain.solve_tree(scenario, budget, tree, &initial, rebalance, &reprice)[0].len();
+        }
+        total
+    };
     group.bench_function(BenchmarkId::from_parameter("pure_spot_pinned"), |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            for (chain, pools) in &paths {
-                let reprice = reprice_for(pools);
-                total += chain
-                    .solve_fleet_bounded(scenario, budget, &initial, false, &reprice)
-                    .len();
-            }
-            black_box(total)
-        })
+        b.iter(|| black_box(sweep(false)))
     });
     group.bench_function(BenchmarkId::from_parameter("hedged_joint"), |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            for (chain, pools) in &paths {
-                let reprice = reprice_for(pools);
-                total += chain
-                    .solve_fleet_bounded(scenario, budget, &initial, true, &reprice)
-                    .len();
-            }
-            black_box(total)
-        })
+        b.iter(|| black_box(sweep(true)))
     });
+    group.bench_function(
+        BenchmarkId::from_parameter("hedged_rebuild_per_epoch"),
+        |b| {
+            b.iter(|| {
+                let mut total = 0usize;
+                for (chain, _, pools) in &paths {
+                    let reprice = pool_reprice(pools);
+                    total += chain
+                        .solve_rebuilding(scenario, budget, &initial, true, &reprice)
+                        .len();
+                }
+                black_box(total)
+            })
+        },
+    );
     group.finish();
 }
 
-/// Tree vs flat at K = 32 for the hedged *joint* solve: the flat sweep
-/// pays one evaluator build (greedy fill) plus 7 warm transitions per
-/// path; the scenario tree pays one build per root, one transition per
+/// Shared-prefix tree vs per-path trees at K = 32 for the hedged
+/// *joint* solve: solving every path alone pays one evaluator build
+/// (greedy fill) plus 7 warm transitions per path; the scenario tree pays one build per root, one transition per
 /// tree edge and a cheap fork per extra sibling — the correlated crunch
 /// regime is discrete, so sampled paths share long quote prefixes and
 /// the tree is much smaller than K × epochs. Identical outcomes are
 /// asserted before timing.
-fn bench_scenario_tree_vs_flat(c: &mut Criterion) {
+fn bench_scenario_tree_vs_per_path(c: &mut Criterion) {
     let problem = mv_bench::shapes::hot_problem(59);
     let market = crunchy_market(101);
-    let sampled: Vec<mvcloud::market::MarketPath> =
-        (0..TREE_PATHS).map(|j| market.path(j)).collect();
-    let base = problem.model().context();
-    let compile = |q: &mvcloud::market::EpochQuote| -> mvcloud::CloudCostModel {
-        let mut ctx = base.clone();
-        ctx.pricing = q.reprice(&base.pricing);
-        ctx.instance = ctx
-            .pricing
-            .compute
-            .instance(&base.instance.name)
-            .expect("bench instance is in the catalog")
-            .clone();
-        mvcloud::CloudCostModel::new(ctx)
-    };
-    let pool_of = |q: &mvcloud::market::EpochQuote| -> (f64, InterruptionRisk) {
-        (
-            1.0 / q.factors.compute,
-            InterruptionRisk::new(q.interruption),
-        )
-    };
-
-    // Flat reference: one chain + per-epoch pool terms per path.
-    let flat: Vec<(EpochChain, Vec<(f64, InterruptionRisk)>)> = sampled
-        .iter()
-        .map(|p| {
-            (
-                EpochChain::new(
-                    p.quotes.iter().map(&compile).collect(),
-                    problem.candidates().to_vec(),
-                ),
-                p.quotes.iter().map(&pool_of).collect(),
-            )
-        })
-        .collect();
+    let sampled: Vec<MarketPath> = (0..TREE_PATHS).map(|j| market.path(j)).collect();
+    // Per-path reference: each path compiled for solving alone.
+    let per_path: Vec<PathSolve> = sampled.iter().map(|p| path_solve(&problem, p)).collect();
 
     // Tree route: one model + pool terms per *node*.
     let stree = mvcloud::market::ScenarioTree::from_paths(&sampled);
@@ -250,11 +237,11 @@ fn bench_scenario_tree_vs_flat(c: &mut Criterion) {
         .map(|n| EpochTreeNode {
             parent: n.parent,
             epoch: n.epoch,
-            model: compile(&n.quote),
+            model: mv_bench::shapes::quote_model(&problem, &n.quote),
         })
         .collect();
     let node_pools: Vec<(f64, InterruptionRisk)> =
-        stree.nodes().iter().map(|n| pool_of(&n.quote)).collect();
+        stree.nodes().iter().map(|n| pool_terms(&n.quote)).collect();
     let leaves: Vec<usize> = (0..TREE_PATHS).map(|j| stree.leaf_of(j)).collect();
     let tree = EpochTree::new(nodes, leaves);
     let chain = EpochChain::new(
@@ -264,28 +251,15 @@ fn bench_scenario_tree_vs_flat(c: &mut Criterion) {
     let scenario = Scenario::tradeoff_normalized(0.5);
     let budget = 2 * CANDIDATES + 8;
     let initial = vec![Placement::Spot; CANDIDATES];
-    fn pool_reprice(
-        pools: &[(f64, InterruptionRisk)],
-    ) -> impl Fn(usize, usize, Placement, &ViewCharge) -> ViewCharge + '_ {
-        move |i: usize, _k: usize, p: Placement, c: &ViewCharge| -> ViewCharge {
-            let (reserved_rate, risk) = pools[i];
-            match p {
-                Placement::Spot => risk.adjust(c),
-                Placement::Reserved => {
-                    PoolCharge::new(reserved_rate, 1.0, InterruptionRisk::NONE).adjust(c)
-                }
-            }
-        }
-    }
 
-    // Sanity: tree and flat must agree before we time them.
+    // Sanity: the shared tree and the per-path trees must agree
+    // before we time them.
     let tree_reprice = pool_reprice(&node_pools);
-    let tree_steps =
-        chain.solve_tree_fleet_bounded(scenario, budget, &tree, &initial, true, &tree_reprice);
-    for (j, (fchain, pools)) in flat.iter().enumerate() {
+    let tree_steps = chain.solve_tree(scenario, budget, &tree, &initial, true, &tree_reprice);
+    for (j, (pchain, ptree, pools)) in per_path.iter().enumerate() {
         let reprice = pool_reprice(pools);
-        let warm = fchain.solve_fleet_bounded(scenario, budget, &initial, true, &reprice);
-        for (t, w) in tree_steps[j].iter().zip(&warm) {
+        let alone = pchain.solve_tree(scenario, budget, ptree, &initial, true, &reprice);
+        for (t, w) in tree_steps[j].iter().zip(&alone[0]) {
             assert_eq!(t.outcome.evaluation, w.outcome.evaluation);
         }
     }
@@ -293,14 +267,13 @@ fn bench_scenario_tree_vs_flat(c: &mut Criterion) {
     let mut group = c.benchmark_group(format!(
         "fleet/scenario_tree_k{TREE_PATHS}_e{EPOCHS}_n{CANDIDATES}"
     ));
-    group.bench_function(BenchmarkId::from_parameter("flat_per_path"), |b| {
+    group.bench_function(BenchmarkId::from_parameter("per_path_trees"), |b| {
         b.iter(|| {
             let mut total = 0usize;
-            for (fchain, pools) in &flat {
+            for (pchain, ptree, pools) in &per_path {
                 let reprice = pool_reprice(pools);
-                total += fchain
-                    .solve_fleet_bounded(scenario, budget, &initial, true, &reprice)
-                    .len();
+                total +=
+                    pchain.solve_tree(scenario, budget, ptree, &initial, true, &reprice)[0].len();
             }
             black_box(total)
         })
@@ -309,14 +282,7 @@ fn bench_scenario_tree_vs_flat(c: &mut Criterion) {
         b.iter(|| {
             black_box(
                 chain
-                    .solve_tree_fleet_bounded(
-                        scenario,
-                        budget,
-                        &tree,
-                        &initial,
-                        true,
-                        &tree_reprice,
-                    )
+                    .solve_tree(scenario, budget, &tree, &initial, true, &tree_reprice)
                     .len(),
             )
         })
@@ -327,6 +293,6 @@ fn bench_scenario_tree_vs_flat(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = mv_bench::shapes::fast_config();
-    targets = bench_placement_flip_probe, bench_k_path_hedged_sweep, bench_scenario_tree_vs_flat
+    targets = bench_placement_flip_probe, bench_k_path_hedged_sweep, bench_scenario_tree_vs_per_path
 }
 criterion_main!(benches);

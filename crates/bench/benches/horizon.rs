@@ -24,8 +24,8 @@ use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mv_select::epoch::EpochChain;
-use mv_select::{IncrementalEvaluator, Scenario, SelectionProblem, SelectionSet};
-use mvcloud::CloudCostModel;
+use mv_select::{IncrementalEvaluator, Placement, Scenario, SelectionProblem, SelectionSet};
+use mvcloud::{CloudCostModel, ViewCharge};
 
 /// The streaming/churn hot-path shape (shared: `mv_bench::shapes`).
 const CANDIDATES: usize = mv_bench::shapes::HOT_CANDIDATES;
@@ -119,10 +119,14 @@ fn bench_chain_solve(c: &mut Criterion) {
         .collect();
     let chain = EpochChain::new(models, problem.candidates().to_vec());
     let scenario = Scenario::tradeoff_normalized(0.5);
+    let budget = mv_select::local_search::default_move_budget(CANDIDATES);
+    let initial: Vec<Placement> = chain.pool().iter().map(|c| c.placement).collect();
+    let identity = |_: usize, _: usize, _: Placement, c: &ViewCharge| c.clone();
+    let rebuild = || chain.solve_rebuilding(scenario, budget, &initial, false, &identity);
     // Sanity: warm and rebuild must agree before we time them.
     {
         let warm = chain.solve(scenario);
-        let rebuilt = chain.solve_rebuilding(scenario);
+        let rebuilt = rebuild();
         for (w, r) in warm.iter().zip(&rebuilt) {
             assert_eq!(w.outcome.evaluation, r.outcome.evaluation);
         }
@@ -150,7 +154,7 @@ fn bench_chain_solve(c: &mut Criterion) {
         })
     });
     group.bench_function(BenchmarkId::from_parameter("rebuild_per_epoch"), |b| {
-        b.iter(|| black_box(chain.solve_rebuilding(scenario).len()))
+        b.iter(|| black_box(rebuild().len()))
     });
     group.bench_function(BenchmarkId::from_parameter("warm_start"), |b| {
         b.iter(|| black_box(chain.solve(scenario).len()))

@@ -13,10 +13,12 @@
 //!    flips, and one snapshot.
 //! 2. **K-path sweep** — the `solve_market` hot loop at the `mv-select`
 //!    layer: K sampled spot paths, each solved over an 8-epoch horizon
-//!    by `EpochChain::solve_repriced` (one live evaluator per path) vs
-//!    `solve_repriced_rebuilding_bounded` (fresh problem + evaluator
-//!    every epoch). Identical outcomes (asserted before timing), only
-//!    the state handoff differs.
+//!    as its own one-path tree by `EpochChain::solve_tree` (one live
+//!    evaluator per path) vs `EpochChain::solve_rebuilding` (fresh
+//!    problem + evaluator every epoch). Identical outcomes (asserted
+//!    before timing), only the state handoff differs.
+//! 3. **scenario tree** — the same warm solve over the K = 32 paths'
+//!    shared-prefix tree vs over one one-path tree per path.
 //!
 //! The acceptance bar for this PR: warm-start measurably faster than
 //! rebuild in both groups (ratios recorded in ROADMAP.md).
@@ -25,7 +27,7 @@ use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mv_select::epoch::{EpochChain, EpochTree, EpochTreeNode};
-use mv_select::{IncrementalEvaluator, Scenario, SelectionProblem, SelectionSet};
+use mv_select::{IncrementalEvaluator, Placement, Scenario, SelectionProblem, SelectionSet};
 use mvcloud::cost::InterruptionRisk;
 use mvcloud::market::{MarketPath, MarketScenario, PriceProcess, ScenarioTree, SpotMarket};
 use mvcloud::{CloudCostModel, ViewCharge};
@@ -50,21 +52,10 @@ fn compile_path(
     problem: &SelectionProblem,
     path: &MarketPath,
 ) -> (Vec<CloudCostModel>, Vec<InterruptionRisk>) {
-    let base = problem.model().context();
     let models = path
         .quotes
         .iter()
-        .map(|q| {
-            let mut ctx = base.clone();
-            ctx.pricing = q.reprice(&base.pricing);
-            ctx.instance = ctx
-                .pricing
-                .compute
-                .instance(&base.instance.name)
-                .expect("bench instance is in the catalog")
-                .clone();
-            CloudCostModel::new(ctx)
-        })
+        .map(|q| mv_bench::shapes::quote_model(problem, q))
         .collect();
     let risks = path
         .quotes
@@ -72,6 +63,20 @@ fn compile_path(
         .map(|q| InterruptionRisk::new(q.interruption))
         .collect();
     (models, risks)
+}
+
+/// One sampled path solved alone: its chain, the chain's epochs as a
+/// one-path tree, and its per-epoch risks.
+type PathSolve = (EpochChain, EpochTree, Vec<InterruptionRisk>);
+
+/// Compiles one sampled path for solving alone.
+fn path_solve(problem: &SelectionProblem, path: &MarketPath) -> PathSolve {
+    let (models, risks) = compile_path(problem, path);
+    (
+        EpochChain::new(models.clone(), problem.candidates().to_vec()),
+        EpochTree::path(models),
+        risks,
+    )
 }
 
 fn bench_price_drift_handoff(c: &mut Criterion) {
@@ -149,24 +154,18 @@ fn bench_price_drift_handoff(c: &mut Criterion) {
 fn bench_k_path_sweep(c: &mut Criterion) {
     let problem = mv_bench::shapes::hot_problem(43);
     let market = spot_market(99);
-    let paths: Vec<(EpochChain, Vec<InterruptionRisk>)> = (0..PATHS)
-        .map(|j| {
-            let path = market.path(j);
-            let (models, risks) = compile_path(&problem, &path);
-            (
-                EpochChain::new(models, problem.candidates().to_vec()),
-                risks,
-            )
-        })
+    let paths: Vec<PathSolve> = (0..PATHS)
+        .map(|j| path_solve(&problem, &market.path(j)))
         .collect();
     let scenario = Scenario::tradeoff_normalized(0.5);
     let budget = 2 * CANDIDATES + 8;
+    let initial = pool_placements(&problem);
     // Sanity: warm and rebuild must agree before we time them.
-    for (chain, risks) in &paths {
-        let reprice = |e: usize, _k: usize, v: &ViewCharge| risks[e].adjust(v);
-        let warm = chain.solve_repriced_bounded(scenario, budget, &reprice);
-        let rebuilt = chain.solve_repriced_rebuilding_bounded(scenario, budget, &reprice);
-        for (w, r) in warm.iter().zip(&rebuilt) {
+    for (chain, tree, risks) in &paths {
+        let reprice = |e: usize, _k: usize, _p: Placement, v: &ViewCharge| risks[e].adjust(v);
+        let warm = chain.solve_tree(scenario, budget, tree, &initial, false, &reprice);
+        let rebuilt = chain.solve_rebuilding(scenario, budget, &initial, false, &reprice);
+        for (w, r) in warm[0].iter().zip(&rebuilt) {
             assert_eq!(w.outcome.evaluation, r.outcome.evaluation);
         }
     }
@@ -176,10 +175,11 @@ fn bench_k_path_sweep(c: &mut Criterion) {
     group.bench_function(BenchmarkId::from_parameter("rebuild_per_epoch"), |b| {
         b.iter(|| {
             let mut total = 0usize;
-            for (chain, risks) in &paths {
-                let reprice = |e: usize, _k: usize, v: &ViewCharge| risks[e].adjust(v);
+            for (chain, _, risks) in &paths {
+                let reprice =
+                    |e: usize, _k: usize, _p: Placement, v: &ViewCharge| risks[e].adjust(v);
                 total += chain
-                    .solve_repriced_rebuilding_bounded(scenario, budget, &reprice)
+                    .solve_rebuilding(scenario, budget, &initial, false, &reprice)
                     .len();
             }
             black_box(total)
@@ -188,11 +188,11 @@ fn bench_k_path_sweep(c: &mut Criterion) {
     group.bench_function(BenchmarkId::from_parameter("warm_start"), |b| {
         b.iter(|| {
             let mut total = 0usize;
-            for (chain, risks) in &paths {
-                let reprice = |e: usize, _k: usize, v: &ViewCharge| risks[e].adjust(v);
-                total += chain
-                    .solve_repriced_bounded(scenario, budget, &reprice)
-                    .len();
+            for (chain, tree, risks) in &paths {
+                let reprice =
+                    |e: usize, _k: usize, _p: Placement, v: &ViewCharge| risks[e].adjust(v);
+                total +=
+                    chain.solve_tree(scenario, budget, tree, &initial, false, &reprice)[0].len();
             }
             black_box(total)
         })
@@ -200,29 +200,26 @@ fn bench_k_path_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-/// Tree vs flat at K = 32: the tentpole's acceptance shape. The flat
-/// sweep solves every path as its own chain — 32 evaluator builds (one
+/// Every candidate's own pool-charge placement — a market solve pins
+/// views there.
+fn pool_placements(problem: &SelectionProblem) -> Vec<Placement> {
+    problem.candidates().iter().map(|c| c.placement).collect()
+}
+
+/// Shared-prefix tree vs per-path trees at K = 32. Solving every path
+/// alone, as its own one-path tree, pays 32 evaluator builds (one
 /// greedy fill each) plus 32 × 7 retargets. The scenario tree factors
 /// the sampled paths into a prefix forest (the spot process pins epoch
 /// 0, so all 32 share one root) and solves each *node* once: 1 build,
 /// one retarget per edge, a cheap fork per extra sibling. Identical
 /// outcomes are asserted before timing.
-fn bench_scenario_tree_vs_flat(c: &mut Criterion) {
+fn bench_scenario_tree_vs_per_path(c: &mut Criterion) {
     let problem = mv_bench::shapes::hot_problem(61);
     let market = spot_market(17);
     let sampled: Vec<MarketPath> = (0..TREE_PATHS).map(|j| market.path(j)).collect();
 
-    // Flat reference: one chain + per-epoch risks per path.
-    let flat: Vec<(EpochChain, Vec<InterruptionRisk>)> = sampled
-        .iter()
-        .map(|p| {
-            let (models, risks) = compile_path(&problem, p);
-            (
-                EpochChain::new(models, problem.candidates().to_vec()),
-                risks,
-            )
-        })
-        .collect();
+    // Per-path reference: each path compiled for solving alone.
+    let per_path: Vec<PathSolve> = sampled.iter().map(|p| path_solve(&problem, p)).collect();
 
     // Tree route: one repriced model + risk per *node*.
     let stree = ScenarioTree::from_paths(&sampled);
@@ -230,24 +227,13 @@ fn bench_scenario_tree_vs_flat(c: &mut Criterion) {
         stree.len() < TREE_PATHS * EPOCHS,
         "fixture must actually share prefixes"
     );
-    let base = problem.model().context();
     let nodes: Vec<EpochTreeNode> = stree
         .nodes()
         .iter()
-        .map(|n| {
-            let mut ctx = base.clone();
-            ctx.pricing = n.quote.reprice(&base.pricing);
-            ctx.instance = ctx
-                .pricing
-                .compute
-                .instance(&base.instance.name)
-                .expect("bench instance is in the catalog")
-                .clone();
-            EpochTreeNode {
-                parent: n.parent,
-                epoch: n.epoch,
-                model: CloudCostModel::new(ctx),
-            }
+        .map(|n| EpochTreeNode {
+            parent: n.parent,
+            epoch: n.epoch,
+            model: mv_bench::shapes::quote_model(&problem, &n.quote),
         })
         .collect();
     let node_risks: Vec<InterruptionRisk> = stree
@@ -263,14 +249,17 @@ fn bench_scenario_tree_vs_flat(c: &mut Criterion) {
     );
     let scenario = Scenario::tradeoff_normalized(0.5);
     let budget = 2 * CANDIDATES + 8;
+    let initial = pool_placements(&problem);
 
-    // Sanity: tree and flat must price identically before we time them.
-    let tree_reprice = |node: usize, _k: usize, v: &ViewCharge| node_risks[node].adjust(v);
-    let tree_steps = chain.solve_tree_bounded(scenario, budget, &tree, &tree_reprice);
-    for (j, (fchain, risks)) in flat.iter().enumerate() {
-        let reprice = |e: usize, _k: usize, v: &ViewCharge| risks[e].adjust(v);
-        let warm = fchain.solve_repriced_bounded(scenario, budget, &reprice);
-        for (t, w) in tree_steps[j].iter().zip(&warm) {
+    // Sanity: the shared tree and the per-path trees must price
+    // identically before we time them.
+    let tree_reprice =
+        |node: usize, _k: usize, _p: Placement, v: &ViewCharge| node_risks[node].adjust(v);
+    let tree_steps = chain.solve_tree(scenario, budget, &tree, &initial, false, &tree_reprice);
+    for (j, (pchain, ptree, risks)) in per_path.iter().enumerate() {
+        let reprice = |e: usize, _k: usize, _p: Placement, v: &ViewCharge| risks[e].adjust(v);
+        let alone = pchain.solve_tree(scenario, budget, ptree, &initial, false, &reprice);
+        for (t, w) in tree_steps[j].iter().zip(&alone[0]) {
             assert_eq!(t.outcome.evaluation, w.outcome.evaluation);
         }
     }
@@ -278,14 +267,14 @@ fn bench_scenario_tree_vs_flat(c: &mut Criterion) {
     let mut group = c.benchmark_group(format!(
         "market/scenario_tree_k{TREE_PATHS}_e{EPOCHS}_n{CANDIDATES}"
     ));
-    group.bench_function(BenchmarkId::from_parameter("flat_per_path"), |b| {
+    group.bench_function(BenchmarkId::from_parameter("per_path_trees"), |b| {
         b.iter(|| {
             let mut total = 0usize;
-            for (fchain, risks) in &flat {
-                let reprice = |e: usize, _k: usize, v: &ViewCharge| risks[e].adjust(v);
-                total += fchain
-                    .solve_repriced_bounded(scenario, budget, &reprice)
-                    .len();
+            for (pchain, ptree, risks) in &per_path {
+                let reprice =
+                    |e: usize, _k: usize, _p: Placement, v: &ViewCharge| risks[e].adjust(v);
+                total +=
+                    pchain.solve_tree(scenario, budget, ptree, &initial, false, &reprice)[0].len();
             }
             black_box(total)
         })
@@ -294,7 +283,7 @@ fn bench_scenario_tree_vs_flat(c: &mut Criterion) {
         b.iter(|| {
             black_box(
                 chain
-                    .solve_tree_bounded(scenario, budget, &tree, &tree_reprice)
+                    .solve_tree(scenario, budget, &tree, &initial, false, &tree_reprice)
                     .len(),
             )
         })
@@ -305,6 +294,6 @@ fn bench_scenario_tree_vs_flat(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = mv_bench::shapes::fast_config();
-    targets = bench_price_drift_handoff, bench_k_path_sweep, bench_scenario_tree_vs_flat
+    targets = bench_price_drift_handoff, bench_k_path_sweep, bench_scenario_tree_vs_per_path
 }
 criterion_main!(benches);

@@ -71,6 +71,27 @@ pub fn scale_problem(shape: &ScaleShape) -> SelectionProblem {
     mvcloud::scale_problem(shape)
 }
 
+/// The hot problem's costing model re-priced by one sampled market
+/// quote — the per-epoch (or per-tree-node) model the market and fleet
+/// benches solve, built the way `Advisor::solve_market` builds it.
+pub fn quote_model(
+    problem: &SelectionProblem,
+    quote: &mvcloud::market::EpochQuote,
+) -> mvcloud::CloudCostModel {
+    let base = problem.model().context();
+    let mut ctx = base.clone();
+    ctx.pricing = quote.reprice(&base.pricing);
+    // Formula 4 prices through the resolved instance, so it must come
+    // from the re-priced catalog.
+    ctx.instance = ctx
+        .pricing
+        .compute
+        .instance(&base.instance.name)
+        .expect("bench instance is in the catalog")
+        .clone();
+    mvcloud::CloudCostModel::new(ctx)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

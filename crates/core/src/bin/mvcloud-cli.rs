@@ -1,41 +1,7 @@
-//! `mvcloud-cli` — command-line front-end for the advisor.
-//!
-//! ```text
-//! mvcloud-cli advise [--queries N] [--rows N] [--provider P] [--instances K]
-//!                    [--candidates N] [--seed S]
-//!                    (--budget $X | --time-limit H | --alpha A)
-//!                    [--solver knapsack|exhaustive|greedy|bnb|local|lns]
-//! mvcloud-cli horizon [--epochs N] [--pattern static|drift|burst|seasonal]
-//!                     [--rate R | --factor F | --amplitude A] [--period P]
-//!                     [--queries N] [--rows N] [--commitment]
-//!                     (--budget $X | --time-limit H | --alpha A) [--myopic]
-//! mvcloud-cli market [--epochs N] [--paths K] [--seed S]
-//!                    [--volatility V] [--spot-mean M] [--bid B]
-//!                    [--cut-epoch E] [--cut-factor F] [--decay R]
-//!                    [--queries N] [--rows N] [--commitment]
-//!                    (--budget $X | --time-limit H | --alpha A)
-//! mvcloud-cli fleet [--epochs N] [--paths K] [--seed S]
-//!                   [--spot-mean M] [--volatility V]
-//!                   [--crunch-share S] [--persistence R] [--crunch-hazard H]
-//!                   [--crunch-factor F] [--reserved-rate R] [--pin spot|reserved]
-//!                   [--queries N] [--rows N] [--commitment] [--no-compare]
-//!                   (--budget $X | --time-limit H | --alpha A)
-//! mvcloud-cli calibrate [--domain sales|ssb] [--queries N] [--rows N]
-//!                       [--frequency F] [--seed S] [--epochs N]
-//!                       [--scale GB] [--instances K]
-//!                       [--pattern static|drift|burst|seasonal]
-//!                       [--rate R | --factor F | --amplitude A] [--period P]
-//!                       [--synthetic-rate R] [--synthetic-overhead H]
-//!                       (--budget $X | --time-limit H | --alpha A)
-//! mvcloud-cli serve [--queries N] [--rows N] [--frequency F]
-//!                   [--provider P] [--instances K]
-//!                   [--catalog PATH] [--ingest CSV | --script FILE]
-//!                   [--drift T] [--moves N]
-//!                   (--budget $X | --time-limit H | --alpha A)
-//! mvcloud-cli sql "SELECT ... FROM sales ..." [--rows N]
-//! mvcloud-cli pricing
-//! mvcloud-cli excerpt
-//! ```
+//! `mvcloud-cli` — command-line front-end for the advisor. Run
+//! `mvcloud-cli --help` (or `mvcloud-cli <subcommand> --help`) for the
+//! subcommands and their flags; [`print_usage`] is the one copy of that
+//! text.
 //!
 //! `horizon` emits the per-epoch timeline as JSON (rendered through
 //! [`mvcloud::json`]: the offline crate set has no serde_json).
@@ -150,12 +116,12 @@ fn print_usage() {
            mvcloud-cli market [--epochs N] [--paths K] [--seed S] [--volatility V]\n\
                               [--spot-mean M] [--bid B] [--cut-epoch E] [--cut-factor F]\n\
                               [--decay R] [--queries N] [--rows N] [--commitment]\n\
-                              [--flat] (--budget X | --time-limit H | --alpha A)\n\
+                              (--budget X | --time-limit H | --alpha A)\n\
            mvcloud-cli fleet [--epochs N] [--paths K] [--seed S] [--spot-mean M]\n\
                              [--volatility V] [--crunch-share S] [--persistence R]\n\
                              [--crunch-hazard H] [--crunch-factor F] [--reserved-rate R]\n\
                              [--pin spot|reserved] [--queries N] [--rows N]\n\
-                             [--commitment] [--no-compare] [--flat]\n\
+                             [--commitment] [--no-compare]\n\
                              (--budget X | --time-limit H | --alpha A)\n\
            mvcloud-cli calibrate [--domain sales|ssb] [--queries N] [--rows N]\n\
                                  [--frequency F] [--seed S] [--epochs N] [--scale GB]\n\
@@ -214,8 +180,6 @@ fn print_usage() {
            --cut-factor F   the cut's compute factor             [default 0.8]\n\
            --decay R        linear storage-rate decline/epoch    [default 0]\n\
            --commitment     price each path vs a reservation\n\
-           --flat           solve each path as its own chain instead of\n\
-                            the shared-prefix scenario tree (reference loop)\n\
          emits the per-epoch quantile timeline as JSON\n\
          \n\
          fleet flags (plus advise's workload/scenario flags):\n\
@@ -232,8 +196,6 @@ fn print_usage() {
            --pin P           pin every view: spot|reserved (pure fleet)\n\
            --commitment      price the reserved pool's reservation\n\
            --no-compare      skip the pure-spot/pure-reserved comparison\n\
-           --flat            solve each path as its own chain instead of\n\
-                             the shared-prefix scenario tree (reference loop)\n\
          emits the per-epoch hedge/quantile timeline as JSON\n\
          \n\
          calibrate flags (plus the scenario flags):\n\
@@ -274,18 +236,31 @@ fn print_usage() {
     );
 }
 
-/// Reads `--name value` pairs; unknown flags are an error.
+/// A subcommand's `--name value` pairs and positional arguments.
 struct Flags<'a> {
     pairs: Vec<(&'a str, &'a str)>,
     positional: Vec<&'a str>,
 }
 
-fn parse_flags(args: &[String]) -> Result<Flags<'_>, String> {
+/// Reads `--name value` pairs, rejecting any name outside `known` — a
+/// typo'd flag must fail loudly, not silently fall back to its default.
+/// `--help` prints the usage instead and yields `None`: the subcommand
+/// then has nothing left to do. Both are decided on the name alone,
+/// before a value is demanded, so a trailing `--help` or `--bogus` is
+/// not mistaken for a flag missing its value.
+fn parse_flags<'a>(args: &'a [String], known: &[&str]) -> Result<Option<Flags<'a>>, String> {
     let mut pairs = Vec::new();
     let mut positional = Vec::new();
     let mut i = 0;
     while i < args.len() {
         if let Some(name) = args[i].strip_prefix("--") {
+            if name == "help" {
+                print_usage();
+                return Ok(None);
+            }
+            if !known.contains(&name) {
+                return Err(format!("unknown flag --{name} (try --help)"));
+            }
             let value = args
                 .get(i + 1)
                 .ok_or_else(|| format!("flag --{name} needs a value"))?;
@@ -296,7 +271,7 @@ fn parse_flags(args: &[String]) -> Result<Flags<'_>, String> {
             i += 1;
         }
     }
-    Ok(Flags { pairs, positional })
+    Ok(Some(Flags { pairs, positional }))
 }
 
 impl<'a> Flags<'a> {
@@ -312,25 +287,14 @@ impl<'a> Flags<'a> {
                 .map_err(|_| format!("--{name}: cannot parse {v:?}")),
         }
     }
-
-    /// Rejects any flag outside `known` — a typo'd flag must fail
-    /// loudly, not silently fall back to its default.
-    fn expect_known(&self, known: &[&str]) -> Result<(), String> {
-        for (name, _) in &self.pairs {
-            if !known.contains(name) {
-                return Err(format!("unknown flag --{name} (try --help)"));
-            }
-        }
-        Ok(())
-    }
 }
 
 /// The MV1/MV2/MV3 scenario flag names every advising subcommand takes.
 const SCENARIO_FLAGS: [&str; 3] = ["budget", "time-limit", "alpha"];
 
 fn cmd_advise(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
-    flags.expect_known(
+    let Some(flags) = parse_flags(
+        args,
         &[
             &[
                 "queries",
@@ -344,7 +308,10 @@ fn cmd_advise(args: &[String]) -> Result<(), String> {
             &SCENARIO_FLAGS[..],
         ]
         .concat(),
-    )?;
+    )?
+    else {
+        return Ok(());
+    };
     let queries: usize = flags.parse_num("queries", 5)?;
     let rows: usize = flags.parse_num("rows", 10_000)?;
     let instances: u32 = flags.parse_num("instances", 2)?;
@@ -479,8 +446,8 @@ fn cmd_horizon(args: &[String]) -> Result<(), String> {
     let mut args: Vec<String> = args.to_vec();
     let commitment_flag = extract_switch(&mut args, "--commitment");
     let myopic = extract_switch(&mut args, "--myopic");
-    let flags = parse_flags(&args)?;
-    flags.expect_known(
+    let Some(flags) = parse_flags(
+        &args,
         &[
             &[
                 "queries",
@@ -495,7 +462,10 @@ fn cmd_horizon(args: &[String]) -> Result<(), String> {
             &SCENARIO_FLAGS[..],
         ]
         .concat(),
-    )?;
+    )?
+    else {
+        return Ok(());
+    };
     let queries: usize = flags.parse_num("queries", 5)?;
     let rows: usize = flags.parse_num("rows", 10_000)?;
     let epochs: usize = flags.parse_num("epochs", 12)?;
@@ -572,8 +542,8 @@ fn cmd_calibrate(args: &[String]) -> Result<(), String> {
     use mvcloud::units::Gb;
     use mvcloud::CalibrationConfig;
 
-    let flags = parse_flags(args)?;
-    flags.expect_known(
+    let Some(flags) = parse_flags(
+        args,
         &[
             &[
                 "domain",
@@ -595,7 +565,10 @@ fn cmd_calibrate(args: &[String]) -> Result<(), String> {
             &SCENARIO_FLAGS[..],
         ]
         .concat(),
-    )?;
+    )?
+    else {
+        return Ok(());
+    };
     let queries: usize = flags.parse_num("queries", 5)?;
     let rows: usize = flags.parse_num("rows", 10_000)?;
     let frequency: f64 = flags.parse_num("frequency", 1.0)?;
@@ -747,9 +720,8 @@ fn cmd_market(args: &[String]) -> Result<(), String> {
 
     let mut args: Vec<String> = args.to_vec();
     let commitment_flag = extract_switch(&mut args, "--commitment");
-    let flat = extract_switch(&mut args, "--flat");
-    let flags = parse_flags(&args)?;
-    flags.expect_known(
+    let Some(flags) = parse_flags(
+        &args,
         &[
             &[
                 "queries",
@@ -767,7 +739,10 @@ fn cmd_market(args: &[String]) -> Result<(), String> {
             &SCENARIO_FLAGS[..],
         ]
         .concat(),
-    )?;
+    )?
+    else {
+        return Ok(());
+    };
     let queries: usize = flags.parse_num("queries", 5)?;
     let rows: usize = flags.parse_num("rows", 10_000)?;
     let epochs: usize = flags.parse_num("epochs", 12)?;
@@ -824,7 +799,6 @@ fn cmd_market(args: &[String]) -> Result<(), String> {
         market,
         paths,
         commitment: commitment_flag.then(CommitmentPlan::aws_small_1yr),
-        flat,
         ..MarketConfig::default()
     };
     let report = advisor
@@ -842,9 +816,8 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
     let mut args: Vec<String> = args.to_vec();
     let commitment_flag = extract_switch(&mut args, "--commitment");
     let no_compare = extract_switch(&mut args, "--no-compare");
-    let flat = extract_switch(&mut args, "--flat");
-    let flags = parse_flags(&args)?;
-    flags.expect_known(
+    let Some(flags) = parse_flags(
+        &args,
         &[
             &[
                 "queries",
@@ -864,7 +837,10 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
             &SCENARIO_FLAGS[..],
         ]
         .concat(),
-    )?;
+    )?
+    else {
+        return Ok(());
+    };
     let queries: usize = flags.parse_num("queries", 5)?;
     let rows: usize = flags.parse_num("rows", 10_000)?;
     let epochs: usize = flags.parse_num("epochs", 12)?;
@@ -925,7 +901,6 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
         paths,
         fleet,
         compare_pure: !no_compare,
-        flat,
         ..FleetConfig::default()
     };
     let report = advisor
@@ -1137,8 +1112,8 @@ fn horizon_json(report: &mvcloud::HorizonReport, scenario: Scenario, myopic: boo
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     use mvcloud::{AdvisorService, ServiceConfig};
 
-    let flags = parse_flags(args)?;
-    flags.expect_known(
+    let Some(flags) = parse_flags(
+        args,
         &[
             &[
                 "queries",
@@ -1155,7 +1130,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             &SCENARIO_FLAGS[..],
         ]
         .concat(),
-    )?;
+    )?
+    else {
+        return Ok(());
+    };
     let queries: usize = flags.parse_num("queries", 3)?;
     let rows: usize = flags.parse_num("rows", 2_000)?;
     let frequency: f64 = flags.parse_num("frequency", 1.0)?;
@@ -1337,8 +1315,9 @@ fn run_script_line(
 }
 
 fn cmd_sql(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
-    flags.expect_known(&["rows", "format"])?;
+    let Some(flags) = parse_flags(args, &["rows", "format"])? else {
+        return Ok(());
+    };
     let statement = flags
         .positional
         .first()

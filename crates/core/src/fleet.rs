@@ -7,11 +7,15 @@
 //! hedge a **per-view decision**: an [`mv_pricing::FleetPlan`] splits
 //! capacity into a reserved pool and a spot pool, each view's
 //! [`Placement`] decides which pool its build/refresh work (and
-//! storage) bills against, and the transition-aware chain searches
+//! storage) bills against, and the transition-aware solve searches
 //! placements jointly with the selection itself
-//! (`EpochChain::solve_fleet` — placement-flip local-search moves on
-//! the same warm `retarget`/`update_charge` path, one evaluator per
-//! path, never a rebuild; asserted in `tests/market_no_rebuild.rs`).
+//! (`EpochChain::solve_tree` with `rebalance` on — placement-flip
+//! local-search moves on the same warm `retarget`/`update_charge`
+//! path, one evaluator per scenario-tree root, never a rebuild;
+//! asserted in `tests/market_no_rebuild.rs`). Sampling, tree
+//! factoring and the solve are the market's own route
+//! (`Advisor::solve_sampled`); only the pricing and the per-path
+//! accounting differ.
 //!
 //! The shared charges (workload processing, dataset storage,
 //! transfer) follow the plan's *primary* pool: a spot primary rides
@@ -39,11 +43,11 @@
 
 use std::collections::HashMap;
 
-use mv_cost::{CloudCostModel, InterruptionRisk, PoolCharge, SelectionSet, ViewCharge};
+use mv_cost::{CloudCostModel, InterruptionRisk, PoolCharge, SelectionSet};
 use mv_lattice::WorkloadEvolution;
-use mv_market::{EpochQuote, MarketPath, MarketScenario, ScenarioTree};
+use mv_market::{EpochQuote, MarketPath, MarketScenario};
 use mv_pricing::{FleetPlan, Placement};
-use mv_select::epoch::{EpochChain, EpochStep, EpochTree, EpochTreeNode};
+use mv_select::epoch::EpochStep;
 use mv_select::Scenario;
 use mv_units::{Hours, Money};
 use serde::Serialize;
@@ -63,18 +67,14 @@ pub struct FleetConfig {
     /// The fleet split: pool terms, primary sheet, placement freedom.
     pub fleet: FleetPlan,
     /// Also solve every path with the fleet pinned all-spot and
-    /// all-reserved and report the three-way comparison (three chain
-    /// solves per path instead of one).
+    /// all-reserved and report the three-way comparison (three tree
+    /// solves instead of one).
     pub compare_pure: bool,
-    /// Use the flat per-path reference loop instead of the scenario
-    /// tree. Results are bit-identical either way (pinned by
-    /// `tests/tree_identity.rs`); the tree is the default hot path.
-    pub flat: bool,
 }
 
 impl Default for FleetConfig {
     /// 16 paths over a year of constant prices, a rebalancing hedged
-    /// fleet, pure comparators on, scenario-tree solving.
+    /// fleet, pure comparators on.
     fn default() -> Self {
         FleetConfig {
             market: MarketScenario::constant(12, 42),
@@ -82,7 +82,6 @@ impl Default for FleetConfig {
             evolution: WorkloadEvolution::fixed(),
             fleet: FleetPlan::hedged("hedged"),
             compare_pure: true,
-            flat: false,
         }
     }
 }
@@ -189,13 +188,13 @@ pub struct FleetReport {
     /// `solve_market`'s report ([`SpotCommitmentReport::from_path_bills`]).
     pub commitment: Option<SpotCommitmentReport>,
     /// Distinct full-horizon solves actually performed for the K
-    /// requested paths of the *hedged* fleet: distinct scenario-tree
-    /// leaves (tree mode) or distinct quote sequences after hash dedup
-    /// (flat mode); 1 when the fleet never sees the market at all.
+    /// requested paths of the *hedged* fleet: the distinct
+    /// scenario-tree leaves (= distinct quote sequences); 1 when the
+    /// fleet never sees the market at all.
     pub distinct_solves: usize,
-    /// Scenario-tree node count — the number of epoch-solves the tree
-    /// route paid. `None` when the flat reference path (or the
-    /// market-insulated shortcut) was used.
+    /// Scenario-tree node count — the number of epoch-solves the solve
+    /// paid. `None` when the market-insulated shortcut solved path 0
+    /// alone for every path.
     pub tree_nodes: Option<usize>,
     /// Telemetry delta covering this solve, when [`mv_obs`] was
     /// enabled at entry; `None` otherwise (and never serialized by
@@ -271,9 +270,9 @@ impl Advisor {
     }
 
     /// One epoch's base model under the fleet's primary sheet for one
-    /// sampled quote — the per-node unit both the flat loop and the
-    /// scenario tree compile their models from.
-    fn fleet_quote_model(
+    /// sampled quote — the per-node unit the scenario tree compiles
+    /// its models from.
+    pub(crate) fn fleet_quote_model(
         &self,
         base: &CloudCostModel,
         quote: &EpochQuote,
@@ -305,7 +304,7 @@ impl Advisor {
     /// against the primary sheet. The primary pool is always the exact
     /// identity on rates; the spot pool carries the quote's
     /// interruption risk.
-    fn quote_pool_charges(quote: &EpochQuote, fleet: &FleetPlan) -> [PoolCharge; 2] {
+    pub(crate) fn quote_pool_charges(quote: &EpochQuote, fleet: &FleetPlan) -> [PoolCharge; 2] {
         let spot_risk = InterruptionRisk::new(quote.interruption);
         let reserved_rate = fleet.reserved.rate_factor;
         let spot_rate = fleet.spot.rate_factor * quote.factors.compute;
@@ -333,8 +332,9 @@ impl Advisor {
     }
 
     /// The per-epoch [`PoolCharge`]s one sampled path induces under a
-    /// fleet (one [`Advisor::quote_pool_charges`] pair per epoch).
-    fn fleet_pool_charges(path: &MarketPath, fleet: &FleetPlan) -> Vec<[PoolCharge; 2]> {
+    /// fleet, one pair per epoch: how a view placed on either pool is
+    /// charged against the primary sheet.
+    pub fn fleet_pool_charges(path: &MarketPath, fleet: &FleetPlan) -> Vec<[PoolCharge; 2]> {
         path.quotes
             .iter()
             .map(|q| Self::quote_pool_charges(q, fleet))
@@ -343,8 +343,9 @@ impl Advisor {
 
     /// Solves the horizon across `K` sampled price paths with joint
     /// per-view selection + placement and reports the Monte-Carlo
-    /// envelope. See the module docs for semantics; the per-path hot
-    /// loop is one warm-started `EpochChain::solve_fleet`.
+    /// envelope. See the module docs for semantics; the hot loop is one
+    /// warm joint `EpochChain::solve_tree` over the sampled paths'
+    /// scenario tree.
     pub fn solve_fleet(
         &self,
         scenario: Scenario,
@@ -405,14 +406,13 @@ impl Advisor {
         Ok(report)
     }
 
-    /// Solves all `config.paths` paths under one fleet variant,
-    /// routing through the scenario tree by default. A pinned
-    /// all-reserved fleet under a reserved primary never sees the
-    /// market at all, so one solve covers every path regardless of its
-    /// quotes (a dedup neither the tree nor the quote-sequence hash
-    /// can discover — the quotes *differ*, they just don't matter).
-    /// Returns the solved paths plus the
-    /// (`distinct_solves`, `tree_nodes`) accounting pair.
+    /// Solves all `config.paths` paths under one fleet variant through
+    /// the shared scenario-tree route. A pinned all-reserved fleet
+    /// under a reserved primary never sees the market at all, so path
+    /// 0 solved alone (a one-path tree) covers every path regardless of
+    /// its quotes — a dedup the tree cannot discover, since the quotes
+    /// *differ*, they just don't matter. Returns the solved paths plus
+    /// the (`distinct_solves`, `tree_nodes`) accounting pair.
     fn solve_fleet_variant(
         &self,
         scenario: Scenario,
@@ -422,184 +422,41 @@ impl Advisor {
         let sampled: Vec<MarketPath> = (0..config.paths).map(|j| config.market.path(j)).collect();
         let insulated = fleet.primary == Placement::Reserved
             && fleet.pinned_pool() == Some(Placement::Reserved);
-        if insulated {
-            let solved = self.solve_fleet_paths(scenario, config, fleet, &[0]);
-            let out = sampled
-                .iter()
-                .enumerate()
-                .map(|(j, p)| {
-                    let mut s = solved[0].clone();
-                    s.summary.path = j;
-                    // Interruption *events* are still Bernoulli-sampled
-                    // per path — keep the replica's own quotes for
-                    // event reporting.
-                    s.path = p.clone();
-                    s
-                })
-                .collect();
-            return (out, 1, None);
-        }
-        if config.flat {
-            self.solve_fleet_flat(scenario, config, fleet, &sampled)
-        } else {
-            self.solve_fleet_tree(scenario, config, fleet, &sampled)
-        }
-    }
-
-    /// The scenario-tree hot path for one fleet variant: one
-    /// quote-repriced primary-sheet model and one [`PoolCharge`] pair
-    /// per tree *node*, solved jointly (selection + placement) in one
-    /// [`EpochChain::solve_tree_fleet`] pass. Bit-identical to
-    /// [`Advisor::solve_fleet_flat`].
-    fn solve_fleet_tree(
-        &self,
-        scenario: Scenario,
-        config: &FleetConfig,
-        fleet: &FleetPlan,
-        sampled: &[MarketPath],
-    ) -> (Vec<SolvedFleetPath>, usize, Option<usize>) {
-        let stree = ScenarioTree::from_paths(sampled);
-        let base = self.market_base_models(stree.epochs, &config.evolution);
-        let nodes: Vec<EpochTreeNode> = stree
-            .nodes()
-            .iter()
-            .map(|n| EpochTreeNode {
-                parent: n.parent,
-                epoch: n.epoch,
-                model: self.fleet_quote_model(&base[n.epoch], &n.quote, fleet),
-            })
-            .collect();
-        let leaves: Vec<usize> = (0..sampled.len()).map(|j| stree.leaf_of(j)).collect();
-        let tree = EpochTree::new(nodes, leaves);
-        let node_pools: Vec<[PoolCharge; 2]> = stree
-            .nodes()
-            .iter()
-            .map(|n| Self::quote_pool_charges(&n.quote, fleet))
-            .collect();
-        let pool_charges = self.problem().candidates().to_vec();
-        let initial: Vec<Placement> = match fleet.initial {
-            Some(p) => vec![p; pool_charges.len()],
-            None => pool_charges.iter().map(|c| c.placement).collect(),
+        let solve = |paths: &[MarketPath]| {
+            self.solve_sampled(
+                scenario,
+                paths,
+                &config.evolution,
+                Some(fleet),
+                |j, steps| {
+                    let path = &paths[j];
+                    let pools = Self::fleet_pool_charges(path, fleet);
+                    SolvedFleetPath {
+                        summary: self.account_fleet_path(j, fleet, &steps, &pools),
+                        path: path.clone(),
+                    }
+                },
+            )
         };
-        let chain = EpochChain::new(base, pool_charges);
-        let reprice =
-            |node: usize, _k: usize, p: Placement, transition: &ViewCharge| -> ViewCharge {
-                node_pools[node][usize::from(p == Placement::Spot)].adjust(transition)
-            };
-        let per_path = chain.solve_tree_fleet(scenario, &tree, &initial, fleet.rebalance, &reprice);
-        let solved = sampled
-            .iter()
-            .zip(per_path)
-            .enumerate()
-            .map(|(j, (p, steps))| {
-                let pools = Self::fleet_pool_charges(p, fleet);
-                let summary = self.account_fleet_path(j, fleet, &chain, &steps, &pools);
-                SolvedFleetPath {
-                    summary,
-                    path: p.clone(),
-                }
-            })
-            .collect();
-        (solved, stree.distinct_leaves(), Some(stree.len()))
-    }
-
-    /// The flat per-path reference loop for one fleet variant: solve
-    /// one representative chain per *distinct quote sequence*
-    /// (fingerprint-bucketed, full-key-verified grouping —
-    /// [`crate::dedup`]; a deterministic market collapses to one
-    /// representative) and replicate the result to the aliases.
-    fn solve_fleet_flat(
-        &self,
-        scenario: Scenario,
-        config: &FleetConfig,
-        fleet: &FleetPlan,
-        sampled: &[MarketPath],
-    ) -> (Vec<SolvedFleetPath>, usize, Option<usize>) {
-        let groups = crate::dedup::quote_sequence_groups(sampled);
-        mv_obs::add(mv_obs::Counter::FleetDedupHits, groups.duplicates() as u64);
-        let (reps, rep_of) = (groups.reps, groups.rep_of);
-        let solved_reps = self.solve_fleet_paths(scenario, config, fleet, &reps);
-        let solved = sampled
+        if !insulated {
+            let (solved, distinct, nodes) = solve(&sampled);
+            return (solved, distinct, Some(nodes));
+        }
+        let (solved, _, _) = solve(&sampled[..1]);
+        let out = sampled
             .iter()
             .enumerate()
             .map(|(j, p)| {
-                let mut s = solved_reps[rep_of[j]].clone();
+                let mut s = solved[0].clone();
                 s.summary.path = j;
-                // Solve-relevant quote fields match the representative
-                // bit-for-bit; interruption *events* are Bernoulli
-                // -sampled per path, so keep the replica's own quotes
-                // for event reporting.
+                // Interruption *events* are still Bernoulli-sampled per
+                // path — keep the replica's own quotes for event
+                // reporting.
                 s.path = p.clone();
                 s
             })
             .collect();
-        (solved, reps.len(), None)
-    }
-
-    /// Solves the representative paths `reps`, fanned out across
-    /// threads in contiguous chunks and merged in order (identical
-    /// results for any thread count).
-    fn solve_fleet_paths(
-        &self,
-        scenario: Scenario,
-        config: &FleetConfig,
-        fleet: &FleetPlan,
-        reps: &[usize],
-    ) -> Vec<SolvedFleetPath> {
-        let threads = std::thread::available_parallelism()
-            .map_or(1, |t| t.get())
-            .min(reps.len());
-        let solve = |i: usize| -> SolvedFleetPath {
-            self.solve_fleet_path(scenario, config, fleet, reps[i])
-        };
-        if threads <= 1 {
-            return (0..reps.len()).map(solve).collect();
-        }
-        let chunk = reps.len().div_ceil(threads);
-        let solve = &solve;
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .filter_map(|t| {
-                    let lo = t * chunk;
-                    let hi = ((t + 1) * chunk).min(reps.len());
-                    (lo < hi).then(|| scope.spawn(move |_| (lo..hi).map(solve).collect::<Vec<_>>()))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("fleet path worker panicked"))
-                .collect()
-        })
-        .expect("fleet sweep scope failed")
-    }
-
-    /// Solves one sampled path: compile the primary sheet's models and
-    /// the per-pool charges, run the joint warm-started chain, account
-    /// the result.
-    fn solve_fleet_path(
-        &self,
-        scenario: Scenario,
-        config: &FleetConfig,
-        fleet: &FleetPlan,
-        j: usize,
-    ) -> SolvedFleetPath {
-        mv_obs::span!("fleet/solve_path");
-        mv_obs::inc(mv_obs::Counter::FleetPathSolves);
-        let path = config.market.path(j);
-        let models = self.fleet_epoch_models(&path, &config.evolution, fleet);
-        let pools = Self::fleet_pool_charges(&path, fleet);
-        let pool_charges = self.problem().candidates().to_vec();
-        let initial: Vec<Placement> = match fleet.initial {
-            Some(p) => vec![p; pool_charges.len()],
-            None => pool_charges.iter().map(|c| c.placement).collect(),
-        };
-        let chain = EpochChain::new(models, pool_charges);
-        let reprice = |e: usize, _k: usize, p: Placement, transition: &ViewCharge| -> ViewCharge {
-            pools[e][usize::from(p == Placement::Spot)].adjust(transition)
-        };
-        let steps = chain.solve_fleet(scenario, &initial, fleet.rebalance, &reprice);
-        let summary = self.account_fleet_path(j, fleet, &chain, &steps, &pools);
-        SolvedFleetPath { summary, path }
+        (out, 1, None)
     }
 
     /// Per-path accounting: totals, billable hours through the same
@@ -610,13 +467,12 @@ impl Advisor {
         &self,
         j: usize,
         fleet: &FleetPlan,
-        chain: &EpochChain,
         steps: &[EpochStep],
         pools: &[[PoolCharge; 2]],
     ) -> FleetPathSummary {
         let config = self.config();
         let rounding = config.pricing.compute.rounding;
-        let pool = chain.pool();
+        let pool = self.problem().candidates();
         let mut billed = Hours::ZERO;
         let mut reserved_hours = Hours::ZERO;
         let mut spot_hours = Hours::ZERO;
@@ -718,11 +574,11 @@ impl Advisor {
         tree_nodes: Option<usize>,
     ) -> FleetReport {
         let epochs = config.market.epochs;
-        let labels: Vec<String> = self.candidates().iter().map(|m| m.label.clone()).collect();
         for s in &mut solved {
             s.summary.interruptions = s.path.interruptions();
         }
 
+        let labels: Vec<String> = self.candidates().iter().map(|m| m.label.clone()).collect();
         let mut epoch_reports = Vec::with_capacity(epochs);
         let mut cumulative: Vec<f64> = vec![0.0; solved.len()];
         let mut stability_sum = 0.0;
@@ -794,23 +650,10 @@ impl Advisor {
             .collect();
         let shares: Vec<f64> = solved.iter().map(|s| s.summary.spot_share).collect();
         let commitment = config.fleet.reserved.commitment.as_ref().map(|plan| {
-            let total_months = self.config().months * epochs as f64;
-            let spot: Vec<f64> = solved
+            let bills = solved
                 .iter()
-                .map(|s| s.summary.compute_bill.to_dollars_f64())
-                .collect();
-            let reserved: Vec<f64> = solved
-                .iter()
-                .map(|s| {
-                    plan.fleet_horizon_cost(
-                        total_months,
-                        s.summary.billed_instance_hours,
-                        self.config().nb_instances,
-                    )
-                    .to_dollars_f64()
-                })
-                .collect();
-            SpotCommitmentReport::from_path_bills(&plan.name, &spot, &reserved)
+                .map(|s| (s.summary.compute_bill, s.summary.billed_instance_hours));
+            self.path_commitment(plan, epochs, bills)
         });
         FleetReport {
             fleet: config.fleet.name.clone(),
@@ -834,6 +677,7 @@ mod tests {
     use super::*;
     use crate::{sales_domain, AdvisorConfig};
     use mv_market::{CorrelatedHazard, PriceProcess, SpotMarket};
+    use mv_select::epoch::{EpochChain, EpochTree};
 
     fn advisor() -> Advisor {
         Advisor::build(sales_domain(1_000, 4, 5.0, 42), AdvisorConfig::default()).unwrap()
@@ -938,7 +782,7 @@ mod tests {
     fn tree_route_is_bit_identical_to_the_flat_loop() {
         let a = advisor();
         let scenario = Scenario::tradeoff_normalized(0.5);
-        let tree_cfg = FleetConfig {
+        let config = FleetConfig {
             market: MarketScenario::constant(6, 11)
                 .with(PriceProcess::Spot(SpotMarket::discounted(0.4, 0.2)))
                 .with(PriceProcess::Correlated(
@@ -947,33 +791,63 @@ mod tests {
             paths: 10,
             ..FleetConfig::default()
         };
-        let flat_cfg = FleetConfig {
-            flat: true,
-            ..tree_cfg.clone()
+        let tree = a.solve_fleet(scenario, &config).unwrap();
+        // The per-path reference: each sampled path solved alone, as its
+        // own one-path tree over the fleet's primary-sheet models.
+        let pool = a.problem().candidates().to_vec();
+        let budget = mv_select::local_search::default_move_budget(pool.len());
+        let reference = |fleet: &FleetPlan| -> Vec<FleetPathSummary> {
+            let initial: Vec<Placement> = match fleet.initial {
+                Some(p) => vec![p; pool.len()],
+                None => pool.iter().map(|c| c.placement).collect(),
+            };
+            (0..config.paths)
+                .map(|j| {
+                    let path = config.market.path(j);
+                    let models = a.fleet_epoch_models(&path, &config.evolution, fleet);
+                    let pools = Advisor::fleet_pool_charges(&path, fleet);
+                    let reprice = |e: usize, _k: usize, p: Placement, c: &mv_cost::ViewCharge| {
+                        pools[e][usize::from(p == Placement::Spot)].adjust(c)
+                    };
+                    let alone = EpochTree::path(models.clone());
+                    let chain = EpochChain::new(models, pool.clone());
+                    let rebalance = fleet.rebalance;
+                    let steps =
+                        chain.solve_tree(scenario, budget, &alone, &initial, rebalance, &reprice);
+                    a.account_fleet_path(j, fleet, &steps[0], &pools)
+                })
+                .collect()
         };
-        let tree = a.solve_fleet(scenario, &tree_cfg).unwrap();
-        let flat = a.solve_fleet(scenario, &flat_cfg).unwrap();
-        assert_eq!(tree.total_cost, flat.total_cost);
-        assert_eq!(tree.hedge_ratio, flat.hedge_ratio);
-        assert_eq!(tree.plan_stability, flat.plan_stability);
-        for (t, f) in tree.paths.iter().zip(&flat.paths) {
-            assert_eq!(t.total_cost, f.total_cost);
-            assert_eq!(t.billed_instance_hours, f.billed_instance_hours);
-            assert_eq!(t.reserved_hours, f.reserved_hours);
-            assert_eq!(t.spot_hours, f.spot_hours);
-            assert_eq!(t.selections, f.selections);
-            assert_eq!(t.placements, f.placements);
-            assert_eq!(t.moves, f.moves);
-            assert_eq!(t.interruptions, f.interruptions);
+        let hedged = reference(&config.fleet);
+        for (t, r) in tree.paths.iter().zip(&hedged) {
+            assert_eq!(t.total_cost, r.total_cost, "path {}", r.path);
+            assert_eq!(t.billed_instance_hours, r.billed_instance_hours);
+            assert_eq!(t.reserved_hours, r.reserved_hours);
+            assert_eq!(t.spot_hours, r.spot_hours);
+            assert_eq!(t.selections, r.selections);
+            assert_eq!(t.placements, r.placements);
+            assert_eq!(t.moves, r.moves);
         }
-        let (tc, fc) = (tree.comparison.unwrap(), flat.comparison.unwrap());
-        assert_eq!(tc.hedged, fc.hedged);
-        assert_eq!(tc.pure_spot, fc.pure_spot);
-        assert_eq!(tc.pure_reserved, fc.pure_reserved);
-        assert_eq!(tree.distinct_solves, flat.distinct_solves);
-        let nodes = tree.tree_nodes.expect("tree route reports its size");
+        // The pure comparators price through the same route.
+        let totals = |paths: &[FleetPathSummary]| -> Quantiles {
+            let v: Vec<f64> = paths
+                .iter()
+                .map(|p| p.total_cost.to_dollars_f64())
+                .collect();
+            Quantiles::of(&v)
+        };
+        let cmp = tree.comparison.expect("comparison on by default");
+        assert_eq!(cmp.hedged, totals(&hedged));
+        assert_eq!(
+            cmp.pure_spot,
+            totals(&reference(&config.fleet.as_pure(Placement::Spot)))
+        );
+        assert_eq!(
+            cmp.pure_reserved,
+            totals(&reference(&config.fleet.as_pure(Placement::Reserved)))
+        );
+        let nodes = tree.tree_nodes.expect("the tree reports its size");
         assert!(nodes < tree.distinct_solves * 6, "no prefix shared");
-        assert!(flat.tree_nodes.is_none());
     }
 
     #[test]

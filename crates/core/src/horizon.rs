@@ -172,17 +172,7 @@ impl Advisor {
         scenario: Scenario,
         horizon: &HorizonConfig,
     ) -> Result<HorizonReport, AdvisorError> {
-        if horizon.epochs == 0 {
-            return Err(AdvisorError::EmptyHorizon);
-        }
-        let telemetry_base = mv_obs::enabled().then(mv_obs::Snapshot::capture);
-        let chain = self.epoch_chain(horizon);
-        let steps = chain.solve(scenario);
-        let mut report = self.render_horizon(horizon, &chain, steps)?;
-        if let Some(base) = telemetry_base {
-            report.telemetry = Some(mv_obs::Snapshot::capture().since(&base));
-        }
-        Ok(report)
+        self.horizon_report(horizon, |chain| chain.solve(scenario))
     }
 
     /// The transition-blind comparator: every epoch re-solved from
@@ -194,12 +184,22 @@ impl Advisor {
         scenario: Scenario,
         horizon: &HorizonConfig,
     ) -> Result<HorizonReport, AdvisorError> {
+        self.horizon_report(horizon, |chain| chain.solve_myopic(scenario))
+    }
+
+    /// Builds the horizon's chain, solves it with `solve` and renders
+    /// the report, with this solve's telemetry when it is enabled.
+    fn horizon_report(
+        &self,
+        horizon: &HorizonConfig,
+        solve: impl FnOnce(&EpochChain) -> Vec<EpochStep>,
+    ) -> Result<HorizonReport, AdvisorError> {
         if horizon.epochs == 0 {
             return Err(AdvisorError::EmptyHorizon);
         }
         let telemetry_base = mv_obs::enabled().then(mv_obs::Snapshot::capture);
         let chain = self.epoch_chain(horizon);
-        let steps = chain.solve_myopic(scenario);
+        let steps = solve(&chain);
         let mut report = self.render_horizon(horizon, &chain, steps)?;
         if let Some(base) = telemetry_base {
             report.telemetry = Some(mv_obs::Snapshot::capture().since(&base));

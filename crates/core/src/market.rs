@@ -15,24 +15,25 @@
 //! the live evaluator through the O(m) `retarget`/`update_charge`
 //! primitives — never a per-epoch rebuild.
 //!
-//! The Monte-Carlo hot path goes further: sampled paths share long
-//! common quote-prefixes, so the default route factors the K paths
-//! into a [`ScenarioTree`] and solves the whole *forest* in one pass
-//! ([`EpochChain::solve_tree`]) — one evaluator build per root, one
-//! warm `retarget` + charge-splice per tree *edge*, one cheap
-//! evaluator fork per extra sibling at each split — instead of per
-//! path × epoch (asserted via the evaluator's build/retarget/fork
-//! counters in `tests/market_no_rebuild.rs`). A deterministic market
-//! degenerates to a single chain, reproducing the old "solve path 0
-//! once" dedup; tree-node work distributes across threads through a
-//! ready-queue. [`MarketConfig::flat`] keeps the flat per-path loop as
-//! the bit-identical reference (pinned by `tests/tree_identity.rs`);
-//! in flat mode coincidentally-identical quote sequences still
-//! hash-dedup onto one representative solve. Either way the result is
-//! a Monte-Carlo envelope rather than a single bill: per-epoch cost
-//! quantiles, plan stability (how often the selected set agrees across
-//! paths), and a reserved-vs-spot commitment comparison priced per
-//! path.
+//! Sampled paths share long common quote-prefixes, so the K paths are
+//! factored into a [`ScenarioTree`] and the whole *forest* is solved
+//! in one warm pass ([`EpochChain::solve_tree`]) — one evaluator build
+//! per root, one warm `retarget` + charge-splice per tree *edge*, one
+//! cheap evaluator fork per extra sibling at each split — instead of
+//! per path × epoch (asserted via the evaluator's build/retarget/fork
+//! counters in `tests/market_no_rebuild.rs`). To that solver a market
+//! is a *pinned fleet*: every view stays on its pool charge's
+//! placement and the risk transform ignores placement. A deterministic
+//! market degenerates to a single chain, and tree-node work
+//! distributes across threads through a ready-queue. Solving each path
+//! alone as its own one-path tree gives bit-identical results (pinned
+//! by `tests/tree_identity.rs`, which rebuilds that reference from
+//! [`Advisor::market_epoch_models`]). [`Advisor::solve_fleet`]
+//! samples, factors and solves through the same route
+//! (`Advisor::solve_sampled`). Either way the result is a Monte-Carlo
+//! envelope rather than a single bill: per-epoch cost quantiles, plan
+//! stability (how often the selected set agrees across paths), and a
+//! reserved-vs-spot commitment comparison priced per path.
 
 // The price-dynamics vocabulary, re-exported so downstream users reach
 // everything through `mvcloud::market::*`.
@@ -43,9 +44,9 @@ pub use mv_market::{
 
 use std::collections::HashMap;
 
-use mv_cost::{CloudCostModel, InterruptionRisk, SelectionSet};
+use mv_cost::{CloudCostModel, InterruptionRisk, PoolCharge, SelectionSet, ViewCharge};
 use mv_lattice::WorkloadEvolution;
-use mv_pricing::CommitmentPlan;
+use mv_pricing::{CommitmentPlan, FleetPlan, Placement};
 use mv_select::epoch::{EpochChain, EpochStep, EpochTree, EpochTreeNode};
 use mv_select::Scenario;
 use mv_units::{Hours, Money};
@@ -67,23 +68,17 @@ pub struct MarketConfig {
     /// Optional reserved-capacity plan to price each path's compute
     /// against (must target the advisor's instance type).
     pub commitment: Option<CommitmentPlan>,
-    /// Use the flat per-path reference loop instead of the scenario
-    /// tree. Results are bit-identical either way (pinned by
-    /// `tests/tree_identity.rs`); the tree is the default hot path,
-    /// the flat loop the baseline it is benchmarked against.
-    pub flat: bool,
 }
 
 impl Default for MarketConfig {
     /// 16 paths over a year of constant prices (seed 42), fixed
-    /// workload, no reservation, scenario-tree solving.
+    /// workload, no reservation.
     fn default() -> Self {
         MarketConfig {
             market: MarketScenario::constant(12, 42),
             paths: 16,
             evolution: WorkloadEvolution::fixed(),
             commitment: None,
-            flat: false,
         }
     }
 }
@@ -262,13 +257,12 @@ pub struct MarketReport {
     /// Reserved-vs-spot comparison, when a plan was supplied.
     pub commitment: Option<SpotCommitmentReport>,
     /// Distinct full-horizon solves actually performed for the K
-    /// requested paths: distinct scenario-tree leaves (tree mode) or
-    /// distinct quote sequences after hash dedup (flat mode). A
-    /// deterministic market reports 1 either way.
+    /// requested paths: the distinct scenario-tree leaves (= distinct
+    /// quote sequences). A deterministic market reports 1.
     pub distinct_solves: usize,
-    /// Scenario-tree node count — the number of epoch-solves the tree
-    /// route paid (vs `distinct_solves × epochs` for the flat loop).
-    /// `None` when the flat reference path was used.
+    /// Scenario-tree node count — the number of epoch-solves the solve
+    /// paid (vs `distinct_solves × epochs` solving every path alone).
+    /// Always `Some` for a market solve.
     pub tree_nodes: Option<usize>,
     /// Telemetry recorded during this solve — a
     /// [`mv_obs::Snapshot::since`] delta over the solve window. `None`
@@ -333,8 +327,8 @@ impl Advisor {
     }
 
     /// The evolution-reweighted per-epoch models *before* any market
-    /// quote is applied — the shared base both the flat per-path loop
-    /// and the scenario tree re-price from.
+    /// quote is applied — the shared base every tree node and every
+    /// per-path model re-prices from.
     pub(crate) fn market_base_models(
         &self,
         epochs: usize,
@@ -367,8 +361,8 @@ impl Advisor {
 
     /// Solves the horizon across `K` sampled price paths and reports
     /// the Monte-Carlo envelope. See the module docs for semantics; the
-    /// per-path hot loop is one warm-started
-    /// [`EpochChain::solve_repriced`] with risk-adjusted charges.
+    /// hot loop is one warm [`EpochChain::solve_tree`] over the sampled
+    /// paths' scenario tree with risk-adjusted charges.
     pub fn solve_market(
         &self,
         scenario: Scenario,
@@ -389,8 +383,8 @@ impl Advisor {
                 });
             }
         }
-        // Sample the full path set once: the tree factoring, the flat
-        // dedup, and the per-path event reporting all read from it.
+        // Sample the full path set once: the tree factoring and the
+        // per-path event reporting both read from it.
         let sampled: Vec<MarketPath> = (0..config.paths).map(|j| config.market.path(j)).collect();
         // A NaN volatility (or similar user-supplied process parameter)
         // poisons every sampled price; fail up front with the offending
@@ -410,170 +404,98 @@ impl Advisor {
         }
 
         let telemetry_base = mv_obs::enabled().then(mv_obs::Snapshot::capture);
-        let (solved, distinct_solves, tree_nodes) = if config.flat {
-            self.solve_market_flat(scenario, config, &sampled)
-        } else {
-            self.solve_market_tree(scenario, config, &sampled)
-        };
-        let mut report = self.render_market(scenario, config, solved, distinct_solves, tree_nodes);
+        let (solved, distinct_solves, tree_nodes) =
+            self.solve_sampled(scenario, &sampled, &config.evolution, None, |j, steps| {
+                let path = &sampled[j];
+                let risks: Vec<InterruptionRisk> = path
+                    .quotes
+                    .iter()
+                    .map(|q| InterruptionRisk::new(q.interruption))
+                    .collect();
+                SolvedPath {
+                    summary: self.account_path(j, &steps, &risks),
+                    path: path.clone(),
+                    steps,
+                }
+            });
+        let mut report =
+            self.render_market(scenario, config, solved, distinct_solves, Some(tree_nodes));
         if let Some(base) = telemetry_base {
             report.telemetry = Some(mv_obs::Snapshot::capture().since(&base));
         }
         Ok(report)
     }
 
-    /// The scenario-tree hot path: factor the sampled paths into a
+    /// The one Monte-Carlo route of [`Advisor::solve_market`] and
+    /// [`Advisor::solve_fleet`]: factor the sampled paths into a
     /// shared-prefix forest, compile one quote-repriced model and one
-    /// interruption risk per *node*, and let [`EpochChain::solve_tree`]
-    /// pay one solve per node — branching the warm evaluator at split
-    /// points — instead of one per path × epoch. Bit-identical to
-    /// [`Advisor::solve_market_flat`] (a node's search trajectory
-    /// depends only on its model, its effective charges and the
-    /// selection it inherits, all shared along the prefix).
-    fn solve_market_tree(
+    /// [`PoolCharge`] pair per *node*, solve the forest in one warm
+    /// [`EpochChain::solve_tree`] pass, and hand each path's root→leaf
+    /// steps to `account(path index, steps)`.
+    ///
+    /// `fleet == None` prices the single-fleet market: the quoted sheet
+    /// and its interruption premium for every view, whatever its
+    /// placement, with placements pinned to the pool's own. A fleet
+    /// prices its primary sheet plus per-pool charges and searches
+    /// placements when it rebalances. Returns the accounted paths in
+    /// path order, the distinct leaf count and the node count.
+    pub(crate) fn solve_sampled<T>(
         &self,
         scenario: Scenario,
-        config: &MarketConfig,
         sampled: &[MarketPath],
-    ) -> (Vec<SolvedPath>, usize, Option<usize>) {
+        evolution: &WorkloadEvolution,
+        fleet: Option<&FleetPlan>,
+        account: impl Fn(usize, Vec<EpochStep>) -> T,
+    ) -> (Vec<T>, usize, usize) {
         let stree = ScenarioTree::from_paths(sampled);
-        let base = self.market_base_models(stree.epochs, &config.evolution);
+        let base = self.market_base_models(stree.epochs, evolution);
         let nodes: Vec<EpochTreeNode> = stree
             .nodes()
             .iter()
             .map(|n| EpochTreeNode {
                 parent: n.parent,
                 epoch: n.epoch,
-                model: self.quote_model(&base[n.epoch], &n.quote),
+                model: match fleet {
+                    None => self.quote_model(&base[n.epoch], &n.quote),
+                    Some(f) => self.fleet_quote_model(&base[n.epoch], &n.quote, f),
+                },
             })
             .collect();
         let leaves: Vec<usize> = (0..sampled.len()).map(|j| stree.leaf_of(j)).collect();
         let tree = EpochTree::new(nodes, leaves);
-        let risks: Vec<InterruptionRisk> = stree
+        let node_pools: Vec<[PoolCharge; 2]> = stree
             .nodes()
             .iter()
-            .map(|n| InterruptionRisk::new(n.quote.interruption))
-            .collect();
-        let pool = self.problem().candidates().to_vec();
-        let chain = EpochChain::new(base, pool);
-        let per_path = chain.solve_tree(scenario, &tree, &|node, _k, transition| {
-            risks[node].adjust(transition)
-        });
-        let solved = sampled
-            .iter()
-            .zip(per_path)
-            .enumerate()
-            .map(|(j, (p, steps))| {
-                let path_risks: Vec<InterruptionRisk> = p
-                    .quotes
-                    .iter()
-                    .map(|q| InterruptionRisk::new(q.interruption))
-                    .collect();
-                let summary = self.account_path(j, &chain, &steps, &path_risks);
-                SolvedPath {
-                    summary,
-                    path: p.clone(),
-                    steps,
+            .map(|n| match fleet {
+                None => {
+                    let risked =
+                        PoolCharge::new(1.0, 1.0, InterruptionRisk::new(n.quote.interruption));
+                    [risked, risked]
                 }
+                Some(f) => Self::quote_pool_charges(&n.quote, f),
             })
             .collect();
-        (solved, stree.distinct_leaves(), Some(stree.len()))
-    }
-
-    /// The flat per-path reference loop: solve one representative chain
-    /// per *distinct quote sequence* and replicate the result to the
-    /// aliases (fingerprint-bucketed, full-key-verified grouping —
-    /// [`crate::dedup`]). This generalizes the old all-or-nothing
-    /// "deterministic market solves path 0 once" shortcut —
-    /// coincidentally-identical stochastic paths collapse too.
-    fn solve_market_flat(
-        &self,
-        scenario: Scenario,
-        config: &MarketConfig,
-        sampled: &[MarketPath],
-    ) -> (Vec<SolvedPath>, usize, Option<usize>) {
-        let groups = crate::dedup::quote_sequence_groups(sampled);
-        mv_obs::add(mv_obs::Counter::MarketDedupHits, groups.duplicates() as u64);
-        let (reps, rep_of) = (groups.reps, groups.rep_of);
-        let solved_reps = self.solve_market_paths(scenario, config, &reps);
-        let solved = sampled
-            .iter()
+        let pool = self.problem().candidates();
+        let initial: Vec<Placement> = match fleet.and_then(|f| f.initial) {
+            Some(p) => vec![p; pool.len()],
+            None => pool.iter().map(|c| c.placement).collect(),
+        };
+        let rebalance = fleet.is_some_and(|f| f.rebalance);
+        let budget = mv_select::local_search::default_move_budget(pool.len());
+        let chain = EpochChain::new(base, pool.to_vec());
+        // Risk and pool transforms only move materialization,
+        // maintenance and size, so every splice takes update_charge's
+        // O(1) same-answer fast path.
+        let reprice = |node: usize, _k: usize, p: Placement, transition: &ViewCharge| {
+            node_pools[node][usize::from(p == Placement::Spot)].adjust(transition)
+        };
+        let per_path = chain.solve_tree(scenario, budget, &tree, &initial, rebalance, &reprice);
+        let solved = per_path
+            .into_iter()
             .enumerate()
-            .map(|(j, p)| {
-                let mut s = solved_reps[rep_of[j]].clone();
-                s.summary.path = j;
-                // The replica's factors and probabilities match its
-                // representative bit-for-bit (that is what the key
-                // means), but interruption *events* are Bernoulli
-                // -sampled per path — keep the replica's own quotes so
-                // event reporting matches `MarketScenario::path(j)`.
-                s.path = p.clone();
-                s
-            })
+            .map(|(j, steps)| account(j, steps))
             .collect();
-        (solved, reps.len(), None)
-    }
-
-    /// Solves the representative paths `reps`, fanned out across
-    /// threads in contiguous chunks and merged in order (identical
-    /// results for any thread count).
-    fn solve_market_paths(
-        &self,
-        scenario: Scenario,
-        config: &MarketConfig,
-        reps: &[usize],
-    ) -> Vec<SolvedPath> {
-        let threads = std::thread::available_parallelism()
-            .map_or(1, |t| t.get())
-            .min(reps.len());
-        let solve = |i: usize| -> SolvedPath { self.solve_market_path(scenario, config, reps[i]) };
-        if threads <= 1 {
-            return (0..reps.len()).map(solve).collect();
-        }
-        let chunk = reps.len().div_ceil(threads);
-        let solve = &solve;
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .filter_map(|t| {
-                    let lo = t * chunk;
-                    let hi = ((t + 1) * chunk).min(reps.len());
-                    (lo < hi).then(|| scope.spawn(move |_| (lo..hi).map(solve).collect::<Vec<_>>()))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("market path worker panicked"))
-                .collect()
-        })
-        .expect("market sweep scope failed")
-    }
-
-    /// Solves one sampled path: compile models, risk-adjust charges,
-    /// run the warm-started chain, account the result.
-    fn solve_market_path(&self, scenario: Scenario, config: &MarketConfig, j: usize) -> SolvedPath {
-        mv_obs::span!("market/solve_path");
-        mv_obs::inc(mv_obs::Counter::MarketPathSolves);
-        let path = config.market.path(j);
-        let models = self.market_epoch_models(&path, &config.evolution);
-        let risks: Vec<InterruptionRisk> = path
-            .quotes
-            .iter()
-            .map(|q| InterruptionRisk::new(q.interruption))
-            .collect();
-        let pool = self.problem().candidates().to_vec();
-        let chain = EpochChain::new(models, pool);
-        // The sampled-path hot loop: ONE evaluator per path, re-risked
-        // and re-priced per epoch through retarget/update_charge. The
-        // risk transform only moves materialization/maintenance, so
-        // every splice takes update_charge's O(1) same-answer fast path.
-        let steps =
-            chain.solve_repriced(scenario, &|e, _k, transition| risks[e].adjust(transition));
-        let summary = self.account_path(j, &chain, &steps, &risks);
-        SolvedPath {
-            summary,
-            path,
-            steps,
-        }
+        (solved, stree.distinct_leaves(), stree.len())
     }
 
     /// Per-path accounting: totals, billable hours (risk-adjusted work,
@@ -581,11 +503,10 @@ impl Advisor {
     fn account_path(
         &self,
         j: usize,
-        chain: &EpochChain,
         steps: &[EpochStep],
         risks: &[InterruptionRisk],
     ) -> MarketPathSummary {
-        let pool = chain.pool();
+        let pool = self.problem().candidates();
         let mut billed = Hours::ZERO;
         let mut compute_bill = Money::ZERO;
         let mut switches = 0;
@@ -625,11 +546,11 @@ impl Advisor {
         tree_nodes: Option<usize>,
     ) -> MarketReport {
         let epochs = config.market.epochs;
-        let labels: Vec<String> = self.candidates().iter().map(|m| m.label.clone()).collect();
         for s in &mut solved {
             s.summary.interruptions = s.path.interruptions();
         }
 
+        let labels: Vec<String> = self.candidates().iter().map(|m| m.label.clone()).collect();
         let mut epoch_reports = Vec::with_capacity(epochs);
         let mut cumulative: Vec<f64> = vec![0.0; solved.len()];
         let mut stability_sum = 0.0;
@@ -689,23 +610,10 @@ impl Advisor {
             .map(|s| s.summary.total_time.value())
             .collect();
         let commitment = config.commitment.as_ref().map(|plan| {
-            let total_months = self.config().months * epochs as f64;
-            let spot: Vec<f64> = solved
+            let bills = solved
                 .iter()
-                .map(|s| s.summary.compute_bill.to_dollars_f64())
-                .collect();
-            let reserved: Vec<f64> = solved
-                .iter()
-                .map(|s| {
-                    plan.fleet_horizon_cost(
-                        total_months,
-                        s.summary.billed_instance_hours,
-                        self.config().nb_instances,
-                    )
-                    .to_dollars_f64()
-                })
-                .collect();
-            SpotCommitmentReport::from_path_bills(&plan.name, &spot, &reserved)
+                .map(|s| (s.summary.compute_bill, s.summary.billed_instance_hours));
+            self.path_commitment(plan, epochs, bills)
         });
         MarketReport {
             paths: solved.into_iter().map(|s| s.summary).collect(),
@@ -718,6 +626,27 @@ impl Advisor {
             tree_nodes,
             telemetry: None,
         }
+    }
+
+    /// Prices a reservation against each path's compute: the bill at
+    /// the sampled prices vs covering the same billed hours with `plan`
+    /// over the whole horizon. `bills` yields (compute bill, billed
+    /// instance-hours) per path, in path order.
+    pub(crate) fn path_commitment(
+        &self,
+        plan: &CommitmentPlan,
+        epochs: usize,
+        bills: impl Iterator<Item = (Money, Hours)>,
+    ) -> SpotCommitmentReport {
+        let total_months = self.config().months * epochs as f64;
+        let (spot, reserved): (Vec<f64>, Vec<f64>) = bills
+            .map(|(compute, hours)| {
+                let reserved =
+                    plan.fleet_horizon_cost(total_months, hours, self.config().nb_instances);
+                (compute.to_dollars_f64(), reserved.to_dollars_f64())
+            })
+            .unzip();
+        SpotCommitmentReport::from_path_bills(&plan.name, &spot, &reserved)
     }
 }
 
@@ -858,68 +787,99 @@ mod tests {
         assert!(cmp.saving.median < 0.0);
     }
 
+    /// Every sampled path solved alone, each as its own one-path tree
+    /// from [`Advisor::market_epoch_models`], and accounted — the
+    /// per-path reference the shared scenario tree must reproduce bit
+    /// for bit.
+    fn per_path_reference(
+        a: &Advisor,
+        scenario: Scenario,
+        config: &MarketConfig,
+    ) -> Vec<MarketPathSummary> {
+        let pool = a.problem().candidates().to_vec();
+        let initial: Vec<Placement> = pool.iter().map(|c| c.placement).collect();
+        let budget = mv_select::local_search::default_move_budget(pool.len());
+        (0..config.paths)
+            .map(|j| {
+                let path = config.market.path(j);
+                let models = a.market_epoch_models(&path, &config.evolution);
+                let risks: Vec<InterruptionRisk> = path
+                    .quotes
+                    .iter()
+                    .map(|q| InterruptionRisk::new(q.interruption))
+                    .collect();
+                let tree = EpochTree::path(models.clone());
+                let chain = EpochChain::new(models, pool.clone());
+                let reprice =
+                    |e: usize, _k: usize, _p: Placement, c: &ViewCharge| risks[e].adjust(c);
+                let steps = chain
+                    .solve_tree(scenario, budget, &tree, &initial, false, &reprice)
+                    .remove(0);
+                a.account_path(j, &steps, &risks)
+            })
+            .collect()
+    }
+
     #[test]
     fn tree_route_is_bit_identical_to_the_flat_loop() {
         let a = advisor();
         let scenario = Scenario::tradeoff_normalized(0.5);
-        let tree_cfg = MarketConfig {
+        let config = MarketConfig {
             market: MarketScenario::constant(6, 99)
                 .with(PriceProcess::Spot(SpotMarket::with_volatility(0.5))),
             paths: 12,
             commitment: Some(mv_pricing::CommitmentPlan::aws_small_1yr()),
             ..MarketConfig::default()
         };
-        let flat_cfg = MarketConfig {
-            flat: true,
-            ..tree_cfg.clone()
-        };
-        let tree = a.solve_market(scenario, &tree_cfg).unwrap();
-        let flat = a.solve_market(scenario, &flat_cfg).unwrap();
-        assert_eq!(tree.total_cost, flat.total_cost);
-        assert_eq!(tree.total_time_hours, flat.total_time_hours);
-        assert_eq!(tree.plan_stability, flat.plan_stability);
-        for (t, f) in tree.paths.iter().zip(&flat.paths) {
-            assert_eq!(t.total_cost, f.total_cost);
-            assert_eq!(t.billed_instance_hours, f.billed_instance_hours);
-            assert_eq!(t.compute_bill, f.compute_bill);
-            assert_eq!(t.selections, f.selections);
-            assert_eq!(t.switches, f.switches);
-            assert_eq!(t.interruptions, f.interruptions);
+        let tree = a.solve_market(scenario, &config).unwrap();
+        let reference = per_path_reference(&a, scenario, &config);
+        for (t, r) in tree.paths.iter().zip(&reference) {
+            assert_eq!(t.total_cost, r.total_cost, "path {}", r.path);
+            assert_eq!(t.total_time, r.total_time);
+            assert_eq!(t.billed_instance_hours, r.billed_instance_hours);
+            assert_eq!(t.compute_bill, r.compute_bill);
+            assert_eq!(t.epoch_costs, r.epoch_costs);
+            assert_eq!(t.selections, r.selections);
+            assert_eq!(t.switches, r.switches);
         }
-        for (t, f) in tree.epochs.iter().zip(&flat.epochs) {
-            assert_eq!(t.charged_cost, f.charged_cost);
-            assert_eq!(t.modal_selection, f.modal_selection);
-        }
-        let (tc, fc) = (tree.commitment.unwrap(), flat.commitment.unwrap());
-        assert_eq!(tc.saving, fc.saving);
-        // Both modes report what they actually paid for.
-        assert_eq!(tree.distinct_solves, flat.distinct_solves);
-        let nodes = tree.tree_nodes.expect("tree route reports its size");
+        let totals: Vec<f64> = reference
+            .iter()
+            .map(|r| r.total_cost.to_dollars_f64())
+            .collect();
+        assert_eq!(tree.total_cost, Quantiles::of(&totals));
+        // The tree reports what it actually paid for: one solve per
+        // distinct quote sequence, sharing prefixes.
+        let mut keys: Vec<Vec<[u64; 4]>> = (0..config.paths)
+            .map(|j| {
+                let path = config.market.path(j);
+                path.quotes.iter().map(|q| q.solve_key()).collect()
+            })
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(tree.distinct_solves, keys.len());
+        let nodes = tree.tree_nodes.expect("the tree reports its size");
         assert!(nodes < tree.distinct_solves * 6, "no prefix shared");
-        assert!(flat.tree_nodes.is_none());
     }
 
     #[test]
     fn deterministic_market_pays_one_solve_in_both_modes() {
         let a = advisor();
         let scenario = Scenario::tradeoff_normalized(0.5);
-        let tree_cfg = MarketConfig {
+        let config = MarketConfig {
             market: MarketScenario::constant(4, 7),
             paths: 16,
             ..MarketConfig::default()
         };
-        let flat_cfg = MarketConfig {
-            flat: true,
-            ..tree_cfg.clone()
-        };
-        let tree = a.solve_market(scenario, &tree_cfg).unwrap();
-        let flat = a.solve_market(scenario, &flat_cfg).unwrap();
-        // The tree degenerates to a single 4-node chain; the flat loop
-        // hash-dedups all 16 identical paths onto one representative.
+        let tree = a.solve_market(scenario, &config).unwrap();
+        // The tree degenerates to a single 4-node chain, and solving
+        // every path alone lands on that chain's bill 16 times.
         assert_eq!(tree.distinct_solves, 1);
         assert_eq!(tree.tree_nodes, Some(4));
-        assert_eq!(flat.distinct_solves, 1);
-        assert_eq!(tree.total_cost, flat.total_cost);
+        for r in per_path_reference(&a, scenario, &config) {
+            assert_eq!(r.total_cost, tree.paths[0].total_cost);
+        }
+        assert_eq!(tree.total_cost.spread(), 0.0);
     }
 
     #[test]

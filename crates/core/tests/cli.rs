@@ -48,6 +48,32 @@ fn bad_arguments_are_clean_errors_not_panics() {
     assert_clean_error(&["advise", "--alpha", "2.0"]);
     assert_clean_error(&["advise"]);
     assert_clean_error(&["frobnicate"]);
+    // A trailing unknown switch is unknown, not a flag missing its
+    // value; `--flat` left with the flat Monte-Carlo route.
+    assert_clean_error(&["advise", "--alpha", "0.5", "--bogus"]);
+    let out = run(&["advise", "--alpha", "0.5", "--bogus"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag --bogus"), "{stderr}");
+    assert_clean_error(&["market", "--alpha", "0.5", "--flat"]);
+    assert_clean_error(&["fleet", "--alpha", "0.5", "--flat"]);
+}
+
+/// `<subcommand> --help` prints the usage and exits 0, wherever it
+/// sits on the line — every unknown-flag error points at it.
+#[test]
+fn subcommand_help_prints_usage() {
+    for args in [
+        &["market", "--help"][..],
+        &["fleet", "--epochs", "3", "--help"],
+        &["advise", "--help", "--alpha", "0.5"],
+        &["sql", "--help"],
+    ] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(0), "{args:?} should exit 0");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("USAGE:"), "{args:?} prints usage: {stdout}");
+        assert!(out.stderr.is_empty(), "{args:?} writes no error");
+    }
 }
 
 #[test]
@@ -64,54 +90,6 @@ fn advise_succeeds_on_a_small_workload() {
     assert!(out.status.success(), "advise should exit 0");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("selected"), "summary output: {stdout}");
-}
-
-#[test]
-fn market_flat_flag_switches_route_but_not_the_answer() {
-    let base = [
-        "market",
-        "--rows",
-        "500",
-        "--queries",
-        "3",
-        "--epochs",
-        "3",
-        "--paths",
-        "4",
-        "--alpha",
-        "0.5",
-    ];
-    let tree = run(&base);
-    assert!(tree.status.success(), "market should exit 0");
-    let tree_out = String::from_utf8_lossy(&tree.stdout).to_string();
-    assert!(
-        tree_out.contains("\"distinct_solves\":"),
-        "tree JSON reports its dedup: {tree_out}"
-    );
-    assert!(
-        !tree_out.contains("\"tree_nodes\":null"),
-        "default route is the scenario tree: {tree_out}"
-    );
-
-    let mut flat_args = base.to_vec();
-    flat_args.push("--flat");
-    let flat = run(&flat_args);
-    assert!(flat.status.success(), "market --flat should exit 0");
-    let flat_out = String::from_utf8_lossy(&flat.stdout).to_string();
-    assert!(
-        flat_out.contains("\"tree_nodes\":null"),
-        "--flat skips the tree: {flat_out}"
-    );
-
-    // Same seed, same market: the routes must price identically, so
-    // everything past the route metadata is byte-identical JSON.
-    let strip = |s: &str| {
-        s.lines()
-            .filter(|l| !l.contains("\"tree_nodes\""))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(strip(&tree_out), strip(&flat_out));
 }
 
 /// The multi-epoch reports are pinned byte for byte: each case's
@@ -190,8 +168,7 @@ fn calibrate_emits_a_reconciliation_report() {
 
 /// `--metrics` acceptance: the telemetry snapshot a market run emits
 /// must reconcile *exactly* with the report's own solve accounting —
-/// tree mode pays one `solve_tree/node` span per scenario-tree node,
-/// flat mode one `market/solve_path` span per distinct quote sequence.
+/// one `solve_tree/node` span per scenario-tree node.
 #[test]
 fn market_metrics_reconcile_with_solve_accounting() {
     use mvcloud::json::Json;
@@ -212,18 +189,14 @@ fn market_metrics_reconcile_with_solve_accounting() {
         "0.5",
     ];
 
-    let run_with_metrics = |extra: &[&str], file: &str| -> (Json, Json) {
-        let path = dir.join(file);
-        let mut args = base.to_vec();
-        args.extend_from_slice(extra);
-        args.extend_from_slice(&["--metrics", path.to_str().unwrap()]);
-        let out = run(&args);
-        assert!(out.status.success(), "market --metrics should exit 0");
-        let report = Json::parse(&String::from_utf8_lossy(&out.stdout)).expect("report JSON");
-        let raw = std::fs::read_to_string(&path).expect("metrics file written");
-        let metrics = Json::parse(&raw).expect("metrics JSON");
-        (report, metrics)
-    };
+    let path = dir.join("tree.json");
+    let mut args = base.to_vec();
+    args.extend_from_slice(&["--metrics", path.to_str().unwrap()]);
+    let out = run(&args);
+    assert!(out.status.success(), "market --metrics should exit 0");
+    let report = Json::parse(&String::from_utf8_lossy(&out.stdout)).expect("report JSON");
+    let raw = std::fs::read_to_string(&path).expect("metrics file written");
+    let metrics = Json::parse(&raw).expect("metrics JSON");
     let span_count = |metrics: &Json, leaf: &str| -> u64 {
         metrics
             .get("spans")
@@ -245,7 +218,6 @@ fn market_metrics_reconcile_with_solve_accounting() {
             .unwrap_or(0)
     };
 
-    let (report, metrics) = run_with_metrics(&[], "tree.json");
     assert_eq!(
         metrics.get("version").and_then(Json::as_u64),
         Some(1),
@@ -261,19 +233,6 @@ fn market_metrics_reconcile_with_solve_accounting() {
         "one tree-solve span per scenario-tree node"
     );
     assert_eq!(counter(&metrics, "tree/node_solves"), tree_nodes);
-
-    let (report, metrics) = run_with_metrics(&["--flat"], "flat.json");
-    assert!(report.get("tree_nodes").unwrap().is_null());
-    let distinct = report
-        .get("distinct_solves")
-        .and_then(Json::as_u64)
-        .expect("flat route reports dedup");
-    assert_eq!(
-        span_count(&metrics, "market/solve_path"),
-        distinct,
-        "one path-solve span per distinct quote sequence"
-    );
-    assert_eq!(counter(&metrics, "market/path_solves"), distinct);
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -35,11 +35,6 @@ pub enum Counter {
     TreeNodeSolves,
     TreeRootSolves,
     ChainEpochSteps,
-    // mv-core: market / fleet drivers
-    MarketPathSolves,
-    MarketDedupHits,
-    FleetPathSolves,
-    FleetDedupHits,
     // mv-engine: ReplayDriver
     EngineQueries,
     EngineQueriesViaViews,
@@ -64,7 +59,7 @@ pub enum Counter {
 }
 
 /// Number of [`Counter`] variants (length of the backing array).
-pub const COUNT: usize = 38;
+pub const COUNT: usize = 34;
 
 impl Counter {
     /// All variants, in declaration order (index == discriminant).
@@ -87,10 +82,6 @@ impl Counter {
         Counter::TreeNodeSolves,
         Counter::TreeRootSolves,
         Counter::ChainEpochSteps,
-        Counter::MarketPathSolves,
-        Counter::MarketDedupHits,
-        Counter::FleetPathSolves,
-        Counter::FleetDedupHits,
         Counter::EngineQueries,
         Counter::EngineQueriesViaViews,
         Counter::EngineScanBytes,
@@ -130,10 +121,6 @@ impl Counter {
             Counter::TreeNodeSolves => "tree/node_solves",
             Counter::TreeRootSolves => "tree/root_solves",
             Counter::ChainEpochSteps => "chain/epoch_steps",
-            Counter::MarketPathSolves => "market/path_solves",
-            Counter::MarketDedupHits => "market/dedup_hits",
-            Counter::FleetPathSolves => "fleet/path_solves",
-            Counter::FleetDedupHits => "fleet/dedup_hits",
             Counter::EngineQueries => "engine/queries",
             Counter::EngineQueriesViaViews => "engine/queries_via_views",
             Counter::EngineScanBytes => "engine/scan_bytes",

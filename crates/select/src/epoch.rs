@@ -1,5 +1,6 @@
 //! Multi-epoch selection: a billing horizon as a chain of linked
-//! per-epoch problems with transition-aware charges.
+//! per-epoch problems with transition-aware charges, solved warm over
+//! a scenario tree of per-epoch costing models.
 //!
 //! The paper prices one billing period with a fixed workload. Real
 //! deployments re-bill every period while the workload drifts, and the
@@ -8,27 +9,54 @@
 //! newly added view pays full materialization, and a dropped view
 //! forfeits what was spent building it. [`EpochChain`] threads that
 //! state through a sequence of [`CloudCostModel`]s over one shared
-//! candidate pool:
+//! candidate pool.
+//!
+//! **One warm solver.** [`EpochChain::solve_tree`] is the only warm
+//! solve; every multi-epoch case is a special case of it:
+//!
+//! * a plain horizon is a one-path [`EpochTree`] ([`EpochTree::path`])
+//!   with the identity charge transform — [`EpochChain::solve`] is
+//!   exactly that, at the default move budget;
+//! * a re-priced (market) horizon is a *pinned fleet*: initial
+//!   placements taken from the pool, `rebalance = false`, and a
+//!   transform that ignores the placement (`mv-market`'s interruption
+//!   premium);
+//! * a mixed fleet (part reserved, part spot capacity) additionally
+//!   searches each view's [`Placement`] jointly with the selection
+//!   ([`local_search::improve_joint`]); a view moved across pools
+//!   re-pays materialization ([`EpochStep::moved`]);
+//! * a Monte-Carlo sweep factors K sampled price paths into a prefix
+//!   forest, so each shared prefix is solved once.
+//!
+//! Mechanics, shared by all of them:
 //!
 //! * **Transition-aware charges** — at each epoch boundary the
-//!   candidates selected in the previous epoch are re-priced to their
-//!   [`ViewCharge::carried`] form (materialization zeroed), everything
-//!   else reverts to full price. The per-epoch optimum therefore
-//!   depends on the path taken to reach it, and re-solving each epoch
-//!   from scratch against full prices ([`EpochChain::solve_myopic`]) is
-//!   suboptimal — it churns views and re-pays materializations the
-//!   chain knows are sunk (pinned by `chain_beats_myopic_churn` below
-//!   and the `tests/horizon.rs` regression).
-//! * **Warm starts, not rebuilds** — one [`IncrementalEvaluator`] lives
-//!   for the whole horizon. Epoch boundaries cost one
+//!   candidates selected in the previous epoch *on the same pool* are
+//!   re-priced to their [`ViewCharge::carried`] form (materialization
+//!   zeroed), everything else reverts to full price, and both then pass
+//!   through the caller's `reprice(node, candidate, placement,
+//!   transition)`. The per-epoch optimum therefore depends on the path
+//!   taken to reach it, and re-solving each epoch from scratch against
+//!   full prices ([`EpochChain::solve_myopic`]) is suboptimal — it
+//!   churns views and re-pays materializations the chain knows are
+//!   sunk (pinned by `chain_beats_myopic_churn` below and the
+//!   `tests/horizon.rs` regression).
+//! * **Warm starts, not rebuilds** — one [`IncrementalEvaluator`] is
+//!   built per tree root. Each edge costs one
 //!   [`IncrementalEvaluator::retarget`] (O(m) context switch: the
 //!   per-query answer caches survive because they hold only candidate
 //!   answer times) plus an [`IncrementalEvaluator::update_charge`]
-//!   splice per candidate whose carried state flipped — instead of an
-//!   O(n·m) problem rebuild plus O(n) repositioning flips per epoch.
-//!   [`EpochChain::solve_rebuilding`] is the rebuild-per-epoch
-//!   reference implementation: bit-identical outcomes (tested), only
-//!   slower (`crates/bench/benches/horizon.rs`).
+//!   splice per candidate whose effective charge changed, and each
+//!   extra sibling at a split one [`IncrementalEvaluator::fork`] —
+//!   instead of an O(n·m) problem rebuild plus O(n) repositioning flips
+//!   per epoch. [`EpochChain::solve_rebuilding`] is the
+//!   rebuild-per-epoch reference: bit-identical steps (tested below),
+//!   only slower (`crates/bench/benches/horizon.rs`).
+//! * **Exact sharing** — a node's search trajectory depends only on its
+//!   model, its effective charges and the selection and placements it
+//!   inherits, all shared along a prefix, so solving the prefix once
+//!   and forking is bit-identical to solving every path alone (pinned
+//!   below and in the workspace-level `tests/tree_identity.rs`).
 //!
 //! Each epoch is solved with the same move rules as
 //! [`crate::solve_local_search`]: epoch 0 greedy-fills from empty, and
@@ -36,6 +64,10 @@
 //! the previous epoch's selection, so with zero drift the chain simply
 //! confirms the standing selection is still a local optimum (one probe
 //! round) instead of re-deriving it.
+//!
+//! For tiny pools, [`EpochChain::solve_dp_exact`] and
+//! [`EpochChain::solve_dp_fleet`] are the exact finite-horizon oracles
+//! the sequential chain is measured against (`tests/dp_oracle.rs`).
 //!
 //! **Scenario caveat (MV1):** under a budget constraint, carried
 //! materialization discounts free up budget headroom, so later epochs
@@ -46,6 +78,8 @@
 //! new view at least what it was in the single-period problem, so a
 //! zero-drift horizon reproduces the single-period solve bit-for-bit
 //! (property-tested in `tests/horizon_consistency.rs`).
+
+use std::borrow::Cow;
 
 use mv_cost::{CloudCostModel, CostBreakdown, Placement, SelectionSet, ViewCharge};
 use mv_units::{Hours, Money};
@@ -79,11 +113,10 @@ pub struct EpochStep {
     /// Candidates selected in both epochs but *moved* to the other
     /// fleet pool at this boundary — a move rebuilds the view on the
     /// new pool's capacity, so they re-pay materialization like
-    /// `added`. Always empty outside the fleet solvers.
+    /// `added`. Always empty unless the solve rebalances placements.
     pub moved: Vec<usize>,
     /// The standing per-candidate pool assignment at the end of this
-    /// epoch (single-fleet solvers record each pool charge's own
-    /// placement). Only the selected entries carry billing meaning;
+    /// epoch. Only the selected entries carry billing meaning;
     /// unselected entries are sticky search state.
     pub placements: Vec<Placement>,
 }
@@ -229,164 +262,180 @@ impl EpochChain {
         &self.pool
     }
 
-    /// Solves the horizon transition-aware, warm-starting each epoch
-    /// from the previous epoch's evaluator state. See the module docs
-    /// for the mechanics; `max_moves` bounds the per-epoch improvement
-    /// pass ([`EpochChain::solve`] uses the default budget).
-    pub fn solve_bounded(&self, scenario: Scenario, max_moves: usize) -> Vec<EpochStep> {
-        self.solve_repriced_bounded(scenario, max_moves, &|_, _, charge| charge.clone())
-    }
-
-    /// [`EpochChain::solve_bounded`] with the default per-epoch move
-    /// budget.
+    /// Solves the horizon transition-aware at the default per-epoch
+    /// move budget: the chain's own epochs as a one-path tree, every
+    /// view on its pool charge's placement, charges unchanged. See the
+    /// module docs for the mechanics.
     pub fn solve(&self, scenario: Scenario) -> Vec<EpochStep> {
-        self.solve_bounded(scenario, local_search::default_move_budget(self.pool.len()))
+        let tree = EpochTree::path(self.epochs.clone());
+        self.solve_tree(
+            scenario,
+            local_search::default_move_budget(self.pool.len()),
+            &tree,
+            &self.pool_placements(),
+            false,
+            &|_, _, _, charge| charge.clone(),
+        )
+        .pop()
+        .expect("a path tree has one leaf")
     }
 
-    /// The generalized transition-aware solve: each epoch's effective
-    /// charges pass through `reprice(epoch, candidate, transition)`
-    /// first, where `transition` is already the carry-aware charge (the
-    /// full-price pool entry, or its [`ViewCharge::carried`] form when
-    /// the candidate survived the previous epoch). This is the
-    /// price-dynamics hook: `mv-market` re-risks every candidate per
-    /// epoch (interruption premiums on materialization/maintenance)
-    /// without this module knowing anything about markets.
+    /// The warm joint selection + placement solve over a scenario
+    /// tree — the one solver every multi-epoch driver runs. Visits
+    /// every [`EpochTreeNode`] exactly once, parents first: one
+    /// evaluator build per root, one
+    /// [`IncrementalEvaluator::retarget`] plus charge-splice pass per
+    /// edge, one [`IncrementalEvaluator::fork`] per extra sibling at a
+    /// split (asserted in `tests/market_no_rebuild.rs`). Placement
+    /// state branches with the evaluator, so sibling subtrees rebalance
+    /// independently.
     ///
-    /// The hot path is unchanged from [`EpochChain::solve_bounded`]
-    /// (which is this method with the identity transform): one
-    /// [`IncrementalEvaluator`] lives for the whole horizon, every
-    /// boundary costs one [`IncrementalEvaluator::retarget`] plus an
-    /// [`IncrementalEvaluator::update_charge`] splice per candidate
-    /// whose effective charge actually changed — never a rebuild
-    /// (asserted via `IncrementalEvaluator::build_count` in the market
-    /// tests). Transforms that only move materialization/maintenance
-    /// (the risk transform does exactly that) keep every splice on
-    /// `update_charge`'s O(1) same-answer-profile fast path.
-    pub fn solve_repriced_bounded<F>(
+    /// `reprice(node, k, placement, transition)` yields candidate `k`'s
+    /// effective charge at tree node `node` on that pool; `transition`
+    /// is already the carry-aware charge — carried only when the
+    /// candidate survived the previous epoch *on the same pool*. A
+    /// transform that only moves materialization, maintenance and size
+    /// (the risk and pool transforms do exactly that) keeps every splice
+    /// — and every placement flip — on `update_charge`'s O(1)
+    /// same-answer-profile fast path. `initial` seeds each candidate's
+    /// placement; `rebalance == false` pins them and runs the plain
+    /// flip/swap pass. `max_moves` bounds each node's improvement pass.
+    ///
+    /// Returns one root→leaf `Vec<EpochStep>` per entry of
+    /// [`EpochTree::leaves`]. Ready nodes drain across worker threads
+    /// (one per unit of tree width, capped by the machine); scheduling
+    /// never changes results, only wall-clock.
+    pub fn solve_tree<F>(
         &self,
         scenario: Scenario,
         max_moves: usize,
+        tree: &EpochTree,
+        initial: &[Placement],
+        rebalance: bool,
+        reprice: &F,
+    ) -> Vec<Vec<EpochStep>>
+    where
+        F: Fn(usize, usize, Placement, &ViewCharge) -> ViewCharge + Sync,
+    {
+        let search = self.search(scenario, max_moves, initial, rebalance, reprice);
+        self.solve_tree_threaded(&search, tree, initial, auto_tree_threads(tree))
+    }
+
+    /// [`EpochChain::solve_tree`] on an explicit worker count.
+    fn solve_tree_threaded<F>(
+        &self,
+        search: &Search<'_, F>,
+        tree: &EpochTree,
+        initial: &[Placement],
+        threads: usize,
+    ) -> Vec<Vec<EpochStep>>
+    where
+        F: Fn(usize, usize, Placement, &ViewCharge) -> ViewCharge + Sync,
+    {
+        self.validate_tree(tree);
+        let n = self.pool.len();
+        let solve = |idx: usize, inherited: Option<TreeFleetState>| {
+            mv_obs::span!("solve_tree/node");
+            let node = &tree.nodes()[idx];
+            mv_obs::inc(mv_obs::Counter::TreeNodeSolves);
+            if node.parent.is_none() {
+                mv_obs::inc(mv_obs::Counter::TreeRootSolves);
+            }
+            mv_obs::event(
+                "tree_node_solve",
+                &[("node", idx as f64), ("epoch", node.epoch as f64)],
+            );
+            let (mut ev, prev, mut placements) = match inherited {
+                None => {
+                    let charges = (0..n)
+                        .map(|k| search.charge(idx, k, initial[k], false))
+                        .collect();
+                    let ev = IncrementalEvaluator::from_problem(SelectionProblem::new(
+                        node.model.clone(),
+                        charges,
+                    ));
+                    (ev, SelectionSet::empty(n), initial.to_vec())
+                }
+                Some(TreeFleetState {
+                    mut ev,
+                    prev,
+                    placements,
+                }) => {
+                    // The whole epoch transition: an O(m) context switch
+                    // plus one splice per candidate whose effective
+                    // charge changed. No rebuild, no repositioning.
+                    ev.retarget(node.model.clone());
+                    for (k, &p) in placements.iter().enumerate() {
+                        let want = search.charge(idx, k, p, prev.contains(k));
+                        if want != ev.problem().candidates()[k] {
+                            ev.update_charge(k, want);
+                        }
+                    }
+                    (ev, prev, placements)
+                }
+            };
+            let step = search.epoch(
+                &mut ev,
+                idx,
+                &node.model,
+                node.epoch,
+                &prev,
+                &mut placements,
+            );
+            let prev = step.selection().clone();
+            (
+                step,
+                TreeFleetState {
+                    ev,
+                    prev,
+                    placements,
+                },
+            )
+        };
+        let branch = |s: &TreeFleetState| TreeFleetState {
+            ev: s.ev.fork(),
+            prev: s.prev.clone(),
+            placements: s.placements.clone(),
+        };
+        let node_steps = run_tree(tree, threads, solve, branch);
+        collect_leaf_steps(tree, &node_steps)
+    }
+
+    /// The rebuild-per-epoch reference implementation of
+    /// [`EpochChain::solve_tree`] on this chain's own epochs (so
+    /// `reprice` is keyed by epoch): identical transition, placement
+    /// and re-pricing semantics, but each epoch builds a fresh charged
+    /// problem and a fresh evaluator repositioned by O(n) flips.
+    /// Bit-identical steps (tested below); the correctness anchor for
+    /// the warm machinery and the baseline the horizon, market and
+    /// fleet benches measure against.
+    pub fn solve_rebuilding<F>(
+        &self,
+        scenario: Scenario,
+        max_moves: usize,
+        initial: &[Placement],
+        rebalance: bool,
         reprice: &F,
     ) -> Vec<EpochStep>
     where
-        F: Fn(usize, usize, &ViewCharge) -> ViewCharge,
+        F: Fn(usize, usize, Placement, &ViewCharge) -> ViewCharge,
     {
+        let search = self.search(scenario, max_moves, initial, rebalance, reprice);
         let n = self.pool.len();
-        let mut current: Vec<ViewCharge> = self
-            .pool
-            .iter()
-            .enumerate()
-            .map(|(k, c)| reprice(0, k, c))
-            .collect();
-        let mut ev = IncrementalEvaluator::from_problem(SelectionProblem::new(
-            self.epochs[0].clone(),
-            current.clone(),
-        ));
+        let mut placements = initial.to_vec();
         let mut prev = SelectionSet::empty(n);
         let mut steps = Vec::with_capacity(self.epochs.len());
         for (e, model) in self.epochs.iter().enumerate() {
-            mv_obs::span!("chain/epoch");
-            if e > 0 {
-                // The whole epoch transition: an O(m) context switch
-                // plus one splice per candidate whose effective charge
-                // changed. No rebuild, no repositioning.
-                ev.retarget(model.clone());
-                for (k, slot) in current.iter_mut().enumerate() {
-                    // Borrow the full-price transition charge; only a
-                    // carried one needs constructing.
-                    let transition: std::borrow::Cow<'_, ViewCharge> = if prev.contains(k) {
-                        std::borrow::Cow::Owned(self.pool[k].carried())
-                    } else {
-                        std::borrow::Cow::Borrowed(&self.pool[k])
-                    };
-                    let want = reprice(e, k, transition.as_ref());
-                    if want != *slot {
-                        ev.update_charge(k, want.clone());
-                        *slot = want;
-                    }
-                }
-            }
-            let baseline = ev.problem().baseline();
-            if e == 0 {
-                local_search::greedy_fill(&mut ev, scenario, &baseline);
-            }
-            let evaluation = local_search::improve(&mut ev, scenario, &baseline, max_moves);
-            steps.push(self.step(model, e, evaluation, baseline, &prev, scenario));
-            prev = steps.last().expect("just pushed").selection().clone();
-        }
-        steps
-    }
-
-    /// [`EpochChain::solve_repriced_bounded`] with the default budget.
-    pub fn solve_repriced<F>(&self, scenario: Scenario, reprice: &F) -> Vec<EpochStep>
-    where
-        F: Fn(usize, usize, &ViewCharge) -> ViewCharge,
-    {
-        self.solve_repriced_bounded(
-            scenario,
-            local_search::default_move_budget(self.pool.len()),
-            reprice,
-        )
-    }
-
-    /// The rebuild-per-epoch reference implementation of
-    /// [`EpochChain::solve_repriced_bounded`]: identical transition and
-    /// re-pricing semantics, but each epoch builds a fresh charged
-    /// problem and a fresh evaluator repositioned by O(n) flips.
-    /// Bit-identical steps (property-tested); exists as the correctness
-    /// anchor and as the baseline the market bench measures against.
-    pub fn solve_repriced_rebuilding_bounded<F>(
-        &self,
-        scenario: Scenario,
-        max_moves: usize,
-        reprice: &F,
-    ) -> Vec<EpochStep>
-    where
-        F: Fn(usize, usize, &ViewCharge) -> ViewCharge,
-    {
-        let mut prev = SelectionSet::empty(self.pool.len());
-        let mut steps = Vec::with_capacity(self.epochs.len());
-        for (e, model) in self.epochs.iter().enumerate() {
-            let charged: Vec<ViewCharge> = self
-                .pool
-                .iter()
-                .enumerate()
-                .map(|(k, c)| {
-                    let transition = if prev.contains(k) {
-                        c.carried()
-                    } else {
-                        c.clone()
-                    };
-                    reprice(e, k, &transition)
-                })
+            let charged = (0..n)
+                .map(|k| search.charge(e, k, placements[k], prev.contains(k)))
                 .collect();
             let problem = SelectionProblem::new(model.clone(), charged);
-            let baseline = problem.baseline();
             let mut ev = IncrementalEvaluator::with_selection(&problem, &prev);
-            if e == 0 {
-                local_search::greedy_fill(&mut ev, scenario, &baseline);
-            }
-            let evaluation = local_search::improve(&mut ev, scenario, &baseline, max_moves);
-            steps.push(self.step(model, e, evaluation, baseline, &prev, scenario));
-            prev = steps.last().expect("just pushed").selection().clone();
+            let step = search.epoch(&mut ev, e, model, e, &prev, &mut placements);
+            prev = step.selection().clone();
+            steps.push(step);
         }
         steps
-    }
-
-    /// The rebuild-per-epoch reference implementation of
-    /// [`EpochChain::solve`]: identical transition semantics and move
-    /// rules, but each epoch builds a fresh charged problem and a fresh
-    /// evaluator repositioned by O(n) flips. Produces bit-identical
-    /// steps (tested below); exists as the correctness anchor for the
-    /// warm-start machinery and as the baseline the horizon bench
-    /// measures against.
-    pub fn solve_rebuilding_bounded(&self, scenario: Scenario, max_moves: usize) -> Vec<EpochStep> {
-        self.solve_repriced_rebuilding_bounded(scenario, max_moves, &|_, _, charge| charge.clone())
-    }
-
-    /// [`EpochChain::solve_rebuilding_bounded`] with the default budget.
-    pub fn solve_rebuilding(&self, scenario: Scenario) -> Vec<EpochStep> {
-        self.solve_rebuilding_bounded(scenario, local_search::default_move_budget(self.pool.len()))
     }
 
     /// The transition-*blind* comparator: each epoch is re-solved from
@@ -398,6 +447,7 @@ impl EpochChain {
     /// to; on drifting workloads it churns specialists and re-pays
     /// builds the chain keeps sunk.
     pub fn solve_myopic(&self, scenario: Scenario) -> Vec<EpochStep> {
+        let placements = self.pool_placements();
         let mut prev = SelectionSet::empty(self.pool.len());
         let mut steps = Vec::with_capacity(self.epochs.len());
         for (e, model) in self.epochs.iter().enumerate() {
@@ -410,222 +460,18 @@ impl EpochChain {
             let charged_problem = SelectionProblem::new(model.clone(), charged);
             let evaluation = charged_problem.evaluate(&solo.evaluation.selection);
             let baseline = charged_problem.baseline();
-            steps.push(self.step(model, e, evaluation, baseline, &prev, scenario));
-            prev = steps.last().expect("just pushed").selection().clone();
-        }
-        steps
-    }
-
-    /// The joint **selection + placement** chain solve over a mixed
-    /// fleet: each candidate additionally carries a [`Placement`]
-    /// deciding which pool its build/refresh work bills against, and
-    /// the per-epoch improvement pass gains placement-flip moves
-    /// ([`local_search::improve_joint`]) alongside select-flip/swap.
-    ///
-    /// `reprice(epoch, candidate, placement, transition)` yields the
-    /// candidate's effective charge on that pool (the fleet hook:
-    /// `mv-cost`'s `PoolCharge` folds rate differentials and spot
-    /// interruption premiums into it); `transition` is already the
-    /// carry-aware charge — carried only when the candidate survived
-    /// the previous epoch *on the same pool*: a placement move rebuilds
-    /// the view on the new pool's capacity, so it re-pays
-    /// materialization (classified `moved` in the step). `initial`
-    /// seeds each candidate's placement; `rebalance == false` pins
-    /// them, degenerating to [`EpochChain::solve_repriced_bounded`]
-    /// with the per-pool transform — the pure-fleet conformance cases.
-    ///
-    /// The hot path is unchanged: ONE [`IncrementalEvaluator`] lives
-    /// for the whole horizon, every boundary costs one `retarget` plus
-    /// an `update_charge` splice per candidate whose effective charge
-    /// moved, and every placement flip is itself one O(1)
-    /// `update_charge` splice (the transform never touches the answer
-    /// profile) — never a rebuild, asserted via
-    /// `IncrementalEvaluator::build_count` in
-    /// `tests/market_no_rebuild.rs`.
-    pub fn solve_fleet_bounded<F>(
-        &self,
-        scenario: Scenario,
-        max_moves: usize,
-        initial: &[Placement],
-        rebalance: bool,
-        reprice: &F,
-    ) -> Vec<EpochStep>
-    where
-        F: Fn(usize, usize, Placement, &ViewCharge) -> ViewCharge,
-    {
-        let n = self.pool.len();
-        assert_eq!(initial.len(), n, "initial placements must cover the pool");
-        let effective = |e: usize, k: usize, p: Placement, carried: bool| -> ViewCharge {
-            let transition = if carried {
-                self.pool[k].carried()
-            } else {
-                self.pool[k].clone()
-            };
-            let mut charge = reprice(e, k, p, &transition);
-            charge.placement = p;
-            charge
-        };
-        let mut placements: Vec<Placement> = initial.to_vec();
-        let mut current: Vec<ViewCharge> = (0..n)
-            .map(|k| effective(0, k, placements[k], false))
-            .collect();
-        let mut ev = IncrementalEvaluator::from_problem(SelectionProblem::new(
-            self.epochs[0].clone(),
-            current.clone(),
-        ));
-        let mut prev = SelectionSet::empty(n);
-        let mut prev_placements = placements.clone();
-        let mut steps = Vec::with_capacity(self.epochs.len());
-        for (e, model) in self.epochs.iter().enumerate() {
-            mv_obs::span!("chain/epoch");
-            if e > 0 {
-                ev.retarget(model.clone());
-                for (k, slot) in current.iter_mut().enumerate() {
-                    let want = effective(e, k, placements[k], prev.contains(k));
-                    if want != *slot {
-                        ev.update_charge(k, want.clone());
-                        *slot = want;
-                    }
-                }
-            }
-            let baseline = ev.problem().baseline();
-            if e == 0 {
-                local_search::greedy_fill(&mut ev, scenario, &baseline);
-            }
-            let evaluation = if rebalance {
-                // Carried-ness during the search keys off the epoch's
-                // *entry* state: flipping a carried view's placement
-                // re-prices it full (rebuild on the new pool), flipping
-                // it back restores the carried charge bit-for-bit.
-                let entry_prev = prev.clone();
-                let entry_place = placements.clone();
-                let charge_for = |k: usize, p: Placement| -> ViewCharge {
-                    effective(e, k, p, entry_prev.contains(k) && p == entry_place[k])
-                };
-                let ev_ = local_search::improve_joint(
-                    &mut ev,
-                    scenario,
-                    &baseline,
-                    max_moves,
-                    &mut placements,
-                    &charge_for,
-                );
-                // Placement flips spliced new charges in; refresh the
-                // boundary-comparison cache from the live problem.
-                current.clone_from_slice(ev.problem().candidates());
-                ev_
-            } else {
-                local_search::improve(&mut ev, scenario, &baseline, max_moves)
-            };
-            steps.push(self.step_with_placements(
+            let step = self.step(
                 model,
                 e,
                 evaluation,
                 baseline,
                 &prev,
-                &prev_placements,
+                &placements,
                 placements.clone(),
                 scenario,
-            ));
-            prev = steps.last().expect("just pushed").selection().clone();
-            prev_placements.clone_from_slice(&placements);
-        }
-        steps
-    }
-
-    /// [`EpochChain::solve_fleet_bounded`] with the default per-epoch
-    /// move budget.
-    pub fn solve_fleet<F>(
-        &self,
-        scenario: Scenario,
-        initial: &[Placement],
-        rebalance: bool,
-        reprice: &F,
-    ) -> Vec<EpochStep>
-    where
-        F: Fn(usize, usize, Placement, &ViewCharge) -> ViewCharge,
-    {
-        self.solve_fleet_bounded(
-            scenario,
-            local_search::default_move_budget(self.pool.len()),
-            initial,
-            rebalance,
-            reprice,
-        )
-    }
-
-    /// The rebuild-per-epoch reference implementation of
-    /// [`EpochChain::solve_fleet_bounded`]: identical transition,
-    /// placement and re-pricing semantics, but each epoch builds a
-    /// fresh charged problem and a fresh evaluator repositioned by
-    /// O(n) flips. Bit-identical steps (property-tested below); the
-    /// fleet bench measures against it.
-    pub fn solve_fleet_rebuilding_bounded<F>(
-        &self,
-        scenario: Scenario,
-        max_moves: usize,
-        initial: &[Placement],
-        rebalance: bool,
-        reprice: &F,
-    ) -> Vec<EpochStep>
-    where
-        F: Fn(usize, usize, Placement, &ViewCharge) -> ViewCharge,
-    {
-        let n = self.pool.len();
-        assert_eq!(initial.len(), n, "initial placements must cover the pool");
-        let effective = |e: usize, k: usize, p: Placement, carried: bool| -> ViewCharge {
-            let transition = if carried {
-                self.pool[k].carried()
-            } else {
-                self.pool[k].clone()
-            };
-            let mut charge = reprice(e, k, p, &transition);
-            charge.placement = p;
-            charge
-        };
-        let mut placements: Vec<Placement> = initial.to_vec();
-        let mut prev = SelectionSet::empty(n);
-        let mut prev_placements = placements.clone();
-        let mut steps = Vec::with_capacity(self.epochs.len());
-        for (e, model) in self.epochs.iter().enumerate() {
-            let charged: Vec<ViewCharge> = (0..n)
-                .map(|k| effective(e, k, placements[k], prev.contains(k)))
-                .collect();
-            let problem = SelectionProblem::new(model.clone(), charged);
-            let baseline = problem.baseline();
-            let mut ev = IncrementalEvaluator::with_selection(&problem, &prev);
-            if e == 0 {
-                local_search::greedy_fill(&mut ev, scenario, &baseline);
-            }
-            let evaluation = if rebalance {
-                let entry_prev = prev.clone();
-                let entry_place = placements.clone();
-                let charge_for = |k: usize, p: Placement| -> ViewCharge {
-                    effective(e, k, p, entry_prev.contains(k) && p == entry_place[k])
-                };
-                local_search::improve_joint(
-                    &mut ev,
-                    scenario,
-                    &baseline,
-                    max_moves,
-                    &mut placements,
-                    &charge_for,
-                )
-            } else {
-                local_search::improve(&mut ev, scenario, &baseline, max_moves)
-            };
-            steps.push(self.step_with_placements(
-                model,
-                e,
-                evaluation,
-                baseline,
-                &prev,
-                &prev_placements,
-                placements.clone(),
-                scenario,
-            ));
-            prev = steps.last().expect("just pushed").selection().clone();
-            prev_placements.clone_from_slice(&placements);
+            );
+            prev = step.selection().clone();
+            steps.push(step);
         }
         steps
     }
@@ -702,51 +548,7 @@ impl EpochChain {
             }
         };
 
-        // value[cur] = (total violation, total objective) of the best
-        // trajectory ending in `cur`; ties break toward the
-        // first-visited predecessor, so the result is deterministic.
-        let better = |a: (f64, f64), b: (f64, f64)| a.0 < b.0 || (a.0 == b.0 && a.1 < b.1);
-        let mut value: Vec<(f64, f64)> = (0..size)
-            .map(|cur| {
-                let ev = charged(0, 0, cur);
-                (
-                    scenario.violation(&ev),
-                    scenario.objective(&ev, &baselines[0]),
-                )
-            })
-            .collect();
-        let mut back: Vec<Vec<u32>> = Vec::with_capacity(epochs.saturating_sub(1));
-        for (e, epoch_baseline) in baselines.iter().enumerate().skip(1) {
-            let mut next = vec![(f64::INFINITY, f64::INFINITY); size];
-            let mut prevptr = vec![0u32; size];
-            for (prev, &base) in value.iter().enumerate() {
-                for (cur, slot) in next.iter_mut().enumerate() {
-                    let ev = charged(e, prev, cur);
-                    let cand = (
-                        base.0 + scenario.violation(&ev),
-                        base.1 + scenario.objective(&ev, epoch_baseline),
-                    );
-                    if better(cand, *slot) {
-                        *slot = cand;
-                        prevptr[cur] = prev as u32;
-                    }
-                }
-            }
-            value = next;
-            back.push(prevptr);
-        }
-
-        // Best terminal state, then backtrack the trajectory.
-        let mut best = 0usize;
-        for cur in 1..size {
-            if better(value[cur], value[best]) {
-                best = cur;
-            }
-        }
-        let mut path = vec![best; epochs];
-        for e in (1..epochs).rev() {
-            path[e - 1] = back[e - 1][path[e]] as usize;
-        }
+        let path = dp_trajectory(size, epochs, scenario, &baselines, charged);
 
         // Re-derive the chosen trajectory's evaluations exactly, through
         // the same charged problems the chain would bill.
@@ -785,8 +587,8 @@ impl EpochChain {
     /// function minimizes total violation first, then total objective,
     /// as in [`Scenario::better`]'s lexicographic order.
     ///
-    /// `reprice` has the [`EpochChain::solve_fleet_bounded`] contract
-    /// plus the two properties the factored state tables rely on (both
+    /// `reprice` has the [`EpochChain::solve_tree`] contract, keyed by
+    /// epoch, plus the two properties the factored state tables rely on (both
     /// hold for every pool/risk transform): it scales materialization
     /// multiplicatively (zero in, zero out — so carried charges need no
     /// separate table) and never touches the answer profile (so the
@@ -895,46 +697,7 @@ impl EpochChain {
             }
         };
 
-        let better = |a: (f64, f64), b: (f64, f64)| a.0 < b.0 || (a.0 == b.0 && a.1 < b.1);
-        let mut value: Vec<(f64, f64)> = (0..states)
-            .map(|cur| {
-                let ev = charged(0, 0, cur);
-                (
-                    scenario.violation(&ev),
-                    scenario.objective(&ev, &baselines[0]),
-                )
-            })
-            .collect();
-        let mut back: Vec<Vec<u32>> = Vec::with_capacity(epochs.saturating_sub(1));
-        for (e, epoch_baseline) in baselines.iter().enumerate().skip(1) {
-            let mut next = vec![(f64::INFINITY, f64::INFINITY); states];
-            let mut prevptr = vec![0u32; states];
-            for (prev, &base) in value.iter().enumerate() {
-                for (cur, slot) in next.iter_mut().enumerate() {
-                    let ev = charged(e, prev, cur);
-                    let cand = (
-                        base.0 + scenario.violation(&ev),
-                        base.1 + scenario.objective(&ev, epoch_baseline),
-                    );
-                    if better(cand, *slot) {
-                        *slot = cand;
-                        prevptr[cur] = prev as u32;
-                    }
-                }
-            }
-            value = next;
-            back.push(prevptr);
-        }
-        let mut best = 0usize;
-        for cur in 1..states {
-            if better(value[cur], value[best]) {
-                best = cur;
-            }
-        }
-        let mut path = vec![best; epochs];
-        for e in (1..epochs).rev() {
-            path[e - 1] = back[e - 1][path[e]] as usize;
-        }
+        let path = dp_trajectory(states, epochs, scenario, &baselines, charged);
 
         // Re-derive the chosen trajectory's evaluations exactly through
         // charged problems (the internal tallies only pick it).
@@ -979,340 +742,6 @@ impl EpochChain {
         }
     }
 
-    /// Solves a whole scenario *tree* of price trajectories in one
-    /// pass — the Monte-Carlo hot path. `tree` factors K sampled paths
-    /// into shared quote-prefixes (each [`EpochTreeNode`] carries the
-    /// quote-repriced costing model for its epoch); this solver visits
-    /// every node exactly once, warm-branching the incremental
-    /// evaluator at split points. The horizon work is one evaluator
-    /// build per *root* plus one [`IncrementalEvaluator::retarget`] +
-    /// charge-splice pass per *edge* — instead of per path × epoch as
-    /// the flat per-path loop ([`EpochChain::solve_repriced_bounded`])
-    /// pays — and one [`IncrementalEvaluator::fork`] per extra sibling
-    /// at each split (asserted in `tests/market_no_rebuild.rs`).
-    ///
-    /// `reprice(node, k, transition)` is the per-node analogue of the
-    /// flat solver's `reprice(epoch, k, transition)`; `transition` is
-    /// already the carry-aware charge. Returns one root→leaf
-    /// `Vec<EpochStep>` per entry of [`EpochTree::leaves`],
-    /// **bit-identical** to flat-solving each leaf's lineage as its own
-    /// chain: a node's search trajectory depends only on its model, its
-    /// effective charges and the selection it inherits — all shared
-    /// along the prefix — so solving the prefix once and forking is
-    /// exact, not approximate (pinned by the unit tests below and the
-    /// workspace-level `tests/tree_identity.rs` proptests).
-    ///
-    /// `threads > 1` drains ready nodes from a shared work queue (a
-    /// node becomes ready when its parent finishes); scheduling cannot
-    /// change results, only wall-clock.
-    pub fn solve_tree_threaded<F>(
-        &self,
-        scenario: Scenario,
-        max_moves: usize,
-        tree: &EpochTree,
-        threads: usize,
-        reprice: &F,
-    ) -> Vec<Vec<EpochStep>>
-    where
-        F: Fn(usize, usize, &ViewCharge) -> ViewCharge + Sync,
-    {
-        self.validate_tree(tree);
-        let n = self.pool.len();
-        let solve = |idx: usize, inherited: Option<TreeState>| -> (EpochStep, TreeState) {
-            mv_obs::span!("solve_tree/node");
-            let node = &tree.nodes()[idx];
-            mv_obs::inc(mv_obs::Counter::TreeNodeSolves);
-            if node.parent.is_none() {
-                mv_obs::inc(mv_obs::Counter::TreeRootSolves);
-            }
-            mv_obs::event(
-                "tree_node_solve",
-                &[("node", idx as f64), ("epoch", node.epoch as f64)],
-            );
-            let (mut ev, current, prev) = match inherited {
-                None => {
-                    let current: Vec<ViewCharge> = self
-                        .pool
-                        .iter()
-                        .enumerate()
-                        .map(|(k, c)| reprice(idx, k, c))
-                        .collect();
-                    let ev = IncrementalEvaluator::from_problem(SelectionProblem::new(
-                        node.model.clone(),
-                        current.clone(),
-                    ));
-                    (ev, current, SelectionSet::empty(n))
-                }
-                Some(state) => {
-                    let TreeState {
-                        mut ev,
-                        mut current,
-                        prev,
-                    } = state;
-                    ev.retarget(node.model.clone());
-                    for (k, slot) in current.iter_mut().enumerate() {
-                        let transition: std::borrow::Cow<'_, ViewCharge> = if prev.contains(k) {
-                            std::borrow::Cow::Owned(self.pool[k].carried())
-                        } else {
-                            std::borrow::Cow::Borrowed(&self.pool[k])
-                        };
-                        let want = reprice(idx, k, transition.as_ref());
-                        if want != *slot {
-                            ev.update_charge(k, want.clone());
-                            *slot = want;
-                        }
-                    }
-                    (ev, current, prev)
-                }
-            };
-            let baseline = ev.problem().baseline();
-            if node.parent.is_none() {
-                local_search::greedy_fill(&mut ev, scenario, &baseline);
-            }
-            let evaluation = local_search::improve(&mut ev, scenario, &baseline, max_moves);
-            let step = self.step(
-                &node.model,
-                node.epoch,
-                evaluation,
-                baseline,
-                &prev,
-                scenario,
-            );
-            let next = step.selection().clone();
-            (
-                step,
-                TreeState {
-                    ev,
-                    current,
-                    prev: next,
-                },
-            )
-        };
-        let branch = |s: &TreeState| TreeState {
-            ev: s.ev.fork(),
-            current: s.current.clone(),
-            prev: s.prev.clone(),
-        };
-        let node_steps = run_tree(tree, threads, solve, branch);
-        collect_leaf_steps(tree, &node_steps)
-    }
-
-    /// [`EpochChain::solve_tree_threaded`] with the thread count picked
-    /// from the machine and the tree's width (a degenerate chain stays
-    /// serial inline).
-    pub fn solve_tree_bounded<F>(
-        &self,
-        scenario: Scenario,
-        max_moves: usize,
-        tree: &EpochTree,
-        reprice: &F,
-    ) -> Vec<Vec<EpochStep>>
-    where
-        F: Fn(usize, usize, &ViewCharge) -> ViewCharge + Sync,
-    {
-        self.solve_tree_threaded(scenario, max_moves, tree, auto_tree_threads(tree), reprice)
-    }
-
-    /// [`EpochChain::solve_tree_bounded`] with the default per-epoch
-    /// move budget — the tree counterpart of
-    /// [`EpochChain::solve_repriced`].
-    pub fn solve_tree<F>(
-        &self,
-        scenario: Scenario,
-        tree: &EpochTree,
-        reprice: &F,
-    ) -> Vec<Vec<EpochStep>>
-    where
-        F: Fn(usize, usize, &ViewCharge) -> ViewCharge + Sync,
-    {
-        self.solve_tree_bounded(
-            scenario,
-            local_search::default_move_budget(self.pool.len()),
-            tree,
-            reprice,
-        )
-    }
-
-    /// The mixed-fleet scenario-tree solve — the tree counterpart of
-    /// [`EpochChain::solve_fleet_bounded`], with the same joint
-    /// selection + placement semantics per node and the same
-    /// one-solve-per-node accounting as
-    /// [`EpochChain::solve_tree_threaded`]. Placement state branches
-    /// with the evaluator, so sibling subtrees rebalance independently.
-    #[allow(clippy::too_many_arguments)]
-    pub fn solve_tree_fleet_threaded<F>(
-        &self,
-        scenario: Scenario,
-        max_moves: usize,
-        tree: &EpochTree,
-        threads: usize,
-        initial: &[Placement],
-        rebalance: bool,
-        reprice: &F,
-    ) -> Vec<Vec<EpochStep>>
-    where
-        F: Fn(usize, usize, Placement, &ViewCharge) -> ViewCharge + Sync,
-    {
-        self.validate_tree(tree);
-        let n = self.pool.len();
-        assert_eq!(initial.len(), n, "initial placements must cover the pool");
-        let effective = |node: usize, k: usize, p: Placement, carried: bool| -> ViewCharge {
-            let transition = if carried {
-                self.pool[k].carried()
-            } else {
-                self.pool[k].clone()
-            };
-            let mut charge = reprice(node, k, p, &transition);
-            charge.placement = p;
-            charge
-        };
-        let solve =
-            |idx: usize, inherited: Option<TreeFleetState>| -> (EpochStep, TreeFleetState) {
-                mv_obs::span!("solve_tree/node");
-                let node = &tree.nodes()[idx];
-                mv_obs::inc(mv_obs::Counter::TreeNodeSolves);
-                if node.parent.is_none() {
-                    mv_obs::inc(mv_obs::Counter::TreeRootSolves);
-                }
-                mv_obs::event(
-                    "tree_node_solve",
-                    &[("node", idx as f64), ("epoch", node.epoch as f64)],
-                );
-                let (mut ev, mut current, prev, mut placements) = match inherited {
-                    None => {
-                        let placements: Vec<Placement> = initial.to_vec();
-                        let current: Vec<ViewCharge> = (0..n)
-                            .map(|k| effective(idx, k, placements[k], false))
-                            .collect();
-                        let ev = IncrementalEvaluator::from_problem(SelectionProblem::new(
-                            node.model.clone(),
-                            current.clone(),
-                        ));
-                        (ev, current, SelectionSet::empty(n), placements)
-                    }
-                    Some(state) => {
-                        let TreeFleetState {
-                            mut ev,
-                            mut current,
-                            prev,
-                            placements,
-                        } = state;
-                        ev.retarget(node.model.clone());
-                        for (k, slot) in current.iter_mut().enumerate() {
-                            let want = effective(idx, k, placements[k], prev.contains(k));
-                            if want != *slot {
-                                ev.update_charge(k, want.clone());
-                                *slot = want;
-                            }
-                        }
-                        (ev, current, prev, placements)
-                    }
-                };
-                let baseline = ev.problem().baseline();
-                if node.parent.is_none() {
-                    local_search::greedy_fill(&mut ev, scenario, &baseline);
-                }
-                // Carried-ness during the search keys off the node's *entry*
-                // state, exactly as the flat fleet solver does per epoch.
-                let entry_place = placements.clone();
-                let evaluation = if rebalance {
-                    let entry_prev = prev.clone();
-                    let charge_for = |k: usize, p: Placement| -> ViewCharge {
-                        effective(idx, k, p, entry_prev.contains(k) && p == entry_place[k])
-                    };
-                    let ev_ = local_search::improve_joint(
-                        &mut ev,
-                        scenario,
-                        &baseline,
-                        max_moves,
-                        &mut placements,
-                        &charge_for,
-                    );
-                    current.clone_from_slice(ev.problem().candidates());
-                    ev_
-                } else {
-                    local_search::improve(&mut ev, scenario, &baseline, max_moves)
-                };
-                let step = self.step_with_placements(
-                    &node.model,
-                    node.epoch,
-                    evaluation,
-                    baseline,
-                    &prev,
-                    &entry_place,
-                    placements.clone(),
-                    scenario,
-                );
-                let next = step.selection().clone();
-                (
-                    step,
-                    TreeFleetState {
-                        ev,
-                        current,
-                        prev: next,
-                        placements,
-                    },
-                )
-            };
-        let branch = |s: &TreeFleetState| TreeFleetState {
-            ev: s.ev.fork(),
-            current: s.current.clone(),
-            prev: s.prev.clone(),
-            placements: s.placements.clone(),
-        };
-        let node_steps = run_tree(tree, threads, solve, branch);
-        collect_leaf_steps(tree, &node_steps)
-    }
-
-    /// [`EpochChain::solve_tree_fleet_threaded`] with the thread count
-    /// picked from the machine and the tree's width.
-    pub fn solve_tree_fleet_bounded<F>(
-        &self,
-        scenario: Scenario,
-        max_moves: usize,
-        tree: &EpochTree,
-        initial: &[Placement],
-        rebalance: bool,
-        reprice: &F,
-    ) -> Vec<Vec<EpochStep>>
-    where
-        F: Fn(usize, usize, Placement, &ViewCharge) -> ViewCharge + Sync,
-    {
-        self.solve_tree_fleet_threaded(
-            scenario,
-            max_moves,
-            tree,
-            auto_tree_threads(tree),
-            initial,
-            rebalance,
-            reprice,
-        )
-    }
-
-    /// [`EpochChain::solve_tree_fleet_bounded`] with the default
-    /// per-epoch move budget — the tree counterpart of
-    /// [`EpochChain::solve_fleet`].
-    pub fn solve_tree_fleet<F>(
-        &self,
-        scenario: Scenario,
-        tree: &EpochTree,
-        initial: &[Placement],
-        rebalance: bool,
-        reprice: &F,
-    ) -> Vec<Vec<EpochStep>>
-    where
-        F: Fn(usize, usize, Placement, &ViewCharge) -> ViewCharge + Sync,
-    {
-        self.solve_tree_fleet_bounded(
-            scenario,
-            local_search::default_move_budget(self.pool.len()),
-            tree,
-            initial,
-            rebalance,
-            reprice,
-        )
-    }
-
     /// Validates a scenario tree against this chain: every node model
     /// must cover the chain's query universe (that is what keeps the
     /// branched evaluators' answer caches valid across
@@ -1342,41 +771,43 @@ impl EpochChain {
         }
     }
 
-    /// Assembles one epoch's step: transition accounting against the
-    /// previous selection plus the full-price reference evaluation.
-    /// Single-fleet solvers: every candidate keeps its pool charge's
-    /// own placement, so the `moved` partition is always empty.
-    /// `model` is the epoch's *effective* costing model — the chain's
-    /// own epoch model on the flat solvers, the node's quote-repriced
-    /// model on the tree solvers.
-    fn step(
-        &self,
-        model: &CloudCostModel,
-        epoch: usize,
-        evaluation: Evaluation,
-        baseline: Evaluation,
-        prev: &SelectionSet,
-        scenario: Scenario,
-    ) -> EpochStep {
-        let placements: Vec<Placement> = self.pool.iter().map(|c| c.placement).collect();
-        self.step_with_placements(
-            model,
-            epoch,
-            evaluation,
-            baseline,
-            prev,
-            &placements.clone(),
-            placements,
-            scenario,
-        )
+    /// Every candidate's own pool-charge placement.
+    fn pool_placements(&self) -> Vec<Placement> {
+        self.pool.iter().map(|c| c.placement).collect()
     }
 
-    /// [`EpochChain::step`] with explicit placement state: a candidate
-    /// selected in both epochs whose placement changed is classified
-    /// `moved` (it re-paid materialization on the new pool) instead of
-    /// `kept`.
+    /// The fixed inputs of one warm or rebuilt solve.
+    fn search<'a, F>(
+        &'a self,
+        scenario: Scenario,
+        max_moves: usize,
+        initial: &[Placement],
+        rebalance: bool,
+        reprice: &'a F,
+    ) -> Search<'a, F> {
+        assert_eq!(
+            initial.len(),
+            self.pool.len(),
+            "initial placements must cover the pool"
+        );
+        Search {
+            chain: self,
+            scenario,
+            max_moves,
+            rebalance,
+            reprice,
+        }
+    }
+
+    /// Assembles one epoch's step: transition accounting against the
+    /// previous selection plus the full-price reference evaluation. A
+    /// candidate selected in both epochs whose placement changed is
+    /// classified `moved` (it re-paid materialization on the new pool)
+    /// instead of `kept`. `model` is the epoch's *effective* costing
+    /// model — the chain's own epoch model, or the node's
+    /// quote-repriced model on a scenario tree.
     #[allow(clippy::too_many_arguments)]
-    fn step_with_placements(
+    fn step(
         &self,
         model: &CloudCostModel,
         epoch: usize,
@@ -1441,6 +872,141 @@ impl EpochChain {
             placements,
         }
     }
+}
+
+/// The fixed inputs of one solve — shared by the warm tree solve and
+/// the rebuilding reference, so both price and search an epoch through
+/// the same two functions.
+struct Search<'a, F> {
+    chain: &'a EpochChain,
+    scenario: Scenario,
+    max_moves: usize,
+    rebalance: bool,
+    reprice: &'a F,
+}
+
+impl<F> Search<'_, F>
+where
+    F: Fn(usize, usize, Placement, &ViewCharge) -> ViewCharge,
+{
+    /// Candidate `k`'s effective charge at node (or epoch) `at` on pool
+    /// `p`: the full-price pool entry — borrowed, never cloned — or its
+    /// carried form, through the caller's transform.
+    fn charge(&self, at: usize, k: usize, p: Placement, carried: bool) -> ViewCharge {
+        let full = &self.chain.pool[k];
+        let transition = if carried {
+            Cow::Owned(full.carried())
+        } else {
+            Cow::Borrowed(full)
+        };
+        let mut charge = (self.reprice)(at, k, p, &transition);
+        charge.placement = p;
+        charge
+    }
+
+    /// Searches one epoch on `ev` — already positioned at `prev` with
+    /// the epoch's charges in place — and assembles its step.
+    /// `placements` enters as the epoch's standing assignment and
+    /// leaves updated by any accepted placement move.
+    fn epoch(
+        &self,
+        ev: &mut IncrementalEvaluator<'_>,
+        at: usize,
+        model: &CloudCostModel,
+        epoch: usize,
+        prev: &SelectionSet,
+        placements: &mut [Placement],
+    ) -> EpochStep {
+        let (scenario, max_moves) = (self.scenario, self.max_moves);
+        let baseline = ev.problem().baseline();
+        if epoch == 0 {
+            local_search::greedy_fill(ev, scenario, &baseline);
+        }
+        let entry = placements.to_vec();
+        let evaluation = if self.rebalance {
+            // Carried-ness during the search keys off the epoch's
+            // *entry* state: flipping a carried view's placement
+            // re-prices it full (rebuild on the new pool), flipping it
+            // back restores the carried charge bit-for-bit.
+            let charge_for = |k: usize, p: Placement| -> ViewCharge {
+                self.charge(at, k, p, prev.contains(k) && p == entry[k])
+            };
+            local_search::improve_joint(ev, scenario, &baseline, max_moves, placements, &charge_for)
+        } else {
+            local_search::improve(ev, scenario, &baseline, max_moves)
+        };
+        self.chain.step(
+            model,
+            epoch,
+            evaluation,
+            baseline,
+            prev,
+            &entry,
+            placements.to_vec(),
+            scenario,
+        )
+    }
+}
+
+/// The DP core both exact oracles share: the trajectory through
+/// `states` states per epoch that minimizes total constraint violation
+/// first, then total scenario objective — the lexicographic order
+/// [`Scenario::better`] ranks candidates by, summed over the horizon.
+/// `charged(e, prev, cur)` evaluates entering state `cur` from `prev`
+/// in epoch `e` (epoch 0 enters from state 0). Ties break toward the
+/// first-visited predecessor and the lowest terminal state, so the
+/// result is deterministic. Returns one state per epoch.
+fn dp_trajectory(
+    states: usize,
+    epochs: usize,
+    scenario: Scenario,
+    baselines: &[Evaluation],
+    charged: impl Fn(usize, usize, usize) -> Evaluation,
+) -> Vec<usize> {
+    let better = |a: (f64, f64), b: (f64, f64)| a.0 < b.0 || (a.0 == b.0 && a.1 < b.1);
+    // value[cur] = (total violation, total objective) of the best
+    // trajectory ending in `cur`.
+    let mut value: Vec<(f64, f64)> = (0..states)
+        .map(|cur| {
+            let ev = charged(0, 0, cur);
+            (
+                scenario.violation(&ev),
+                scenario.objective(&ev, &baselines[0]),
+            )
+        })
+        .collect();
+    let mut back: Vec<Vec<u32>> = Vec::with_capacity(epochs.saturating_sub(1));
+    for (e, epoch_baseline) in baselines.iter().enumerate().skip(1) {
+        let mut next = vec![(f64::INFINITY, f64::INFINITY); states];
+        let mut prevptr = vec![0u32; states];
+        for (prev, &base) in value.iter().enumerate() {
+            for (cur, slot) in next.iter_mut().enumerate() {
+                let ev = charged(e, prev, cur);
+                let cand = (
+                    base.0 + scenario.violation(&ev),
+                    base.1 + scenario.objective(&ev, epoch_baseline),
+                );
+                if better(cand, *slot) {
+                    *slot = cand;
+                    prevptr[cur] = prev as u32;
+                }
+            }
+        }
+        value = next;
+        back.push(prevptr);
+    }
+    // Best terminal state, then backtrack the trajectory.
+    let mut best = 0usize;
+    for cur in 1..states {
+        if better(value[cur], value[best]) {
+            best = cur;
+        }
+    }
+    let mut path = vec![best; epochs];
+    for e in (1..epochs).rev() {
+        path[e - 1] = back[e - 1][path[e]] as usize;
+    }
+    path
 }
 
 /// One node of an [`EpochTree`]: a distinct price-prefix of some
@@ -1530,6 +1096,22 @@ impl EpochTree {
         }
     }
 
+    /// A single path: node `e` prices epoch `e` with `models[e]` and is
+    /// the parent of node `e + 1` — a plain chain as a one-leaf tree.
+    pub fn path(models: Vec<CloudCostModel>) -> EpochTree {
+        let last = models.len().saturating_sub(1);
+        let nodes = models
+            .into_iter()
+            .enumerate()
+            .map(|(epoch, model)| EpochTreeNode {
+                parent: epoch.checked_sub(1),
+                epoch,
+                model,
+            })
+            .collect();
+        EpochTree::new(nodes, vec![last])
+    }
+
     /// Every node, parent-before-child.
     pub fn nodes(&self) -> &[EpochTreeNode] {
         &self.nodes
@@ -1551,7 +1133,7 @@ impl EpochTree {
     }
 
     /// Total node count — the number of epoch-solves a tree solve
-    /// performs (vs `paths × epochs` for the flat loop).
+    /// performs (vs `paths × epochs` solving every path alone).
     pub fn len(&self) -> usize {
         self.nodes.len()
     }
@@ -1586,19 +1168,11 @@ impl EpochTree {
     }
 }
 
-/// Per-branch solver state threaded through [`run_tree`] by the
-/// single-fleet tree solve.
-struct TreeState {
-    ev: IncrementalEvaluator<'static>,
-    current: Vec<ViewCharge>,
-    prev: SelectionSet,
-}
-
-/// [`TreeState`] plus the standing placement assignment, for the fleet
-/// tree solve.
+/// Per-branch solver state threaded through [`run_tree`]: the warm
+/// evaluator (its problem holds the live effective charges), the
+/// selection the next epoch inherits, and the standing placements.
 struct TreeFleetState {
     ev: IncrementalEvaluator<'static>,
-    current: Vec<ViewCharge>,
     prev: SelectionSet,
     placements: Vec<Placement>,
 }
@@ -1747,6 +1321,116 @@ mod tests {
         EpochChain::new(vec![p.model().clone(); epochs], p.candidates().to_vec())
     }
 
+    /// Paper-like pool with sinusoidally drifting frequencies.
+    fn drifting_chain(epochs: usize) -> EpochChain {
+        let p = paper_like_problem();
+        let models = (0..epochs)
+            .map(|e| {
+                let mut ctx = p.model().context().clone();
+                let m = ctx.workload.len() as f64;
+                for (i, q) in ctx.workload.iter_mut().enumerate() {
+                    let phase = (e as f64 + i as f64 / m) * std::f64::consts::TAU / 4.0;
+                    q.frequency = 1.0 + 0.8 * phase.sin();
+                }
+                CloudCostModel::new(ctx)
+            })
+            .collect();
+        EpochChain::new(models, p.candidates().to_vec())
+    }
+
+    /// The MV1-free scenarios the identity tests sweep.
+    fn scenarios() -> [Scenario; 3] {
+        [
+            Scenario::tradeoff(0.02),
+            Scenario::tradeoff_normalized(0.5),
+            Scenario::time_limit(Hours::new(20.0)),
+        ]
+    }
+
+    /// `c` with build and refresh work scaled by `f` — the shape of the
+    /// market's interruption premium and the fleet's pool rates.
+    fn scaled(c: &ViewCharge, f: f64) -> ViewCharge {
+        ViewCharge {
+            materialization: c.materialization * f,
+            maintenance: c.maintenance * f,
+            ..c.clone()
+        }
+    }
+
+    /// The identity charge transform.
+    fn identity(_: usize, _: usize, _: Placement, c: &ViewCharge) -> ViewCharge {
+        c.clone()
+    }
+
+    /// A fleet transform shaped like the market's: spot work rides a
+    /// per-epoch factor, reserved work bills at the primary sheet.
+    fn spot_at(
+        factors: &[f64],
+    ) -> impl Fn(usize, usize, Placement, &ViewCharge) -> ViewCharge + '_ {
+        move |e, _k, p, c| match p {
+            Placement::Reserved => c.clone(),
+            Placement::Spot => scaled(c, factors[e]),
+        }
+    }
+
+    /// The chain's own epochs solved warm as a one-path tree at the
+    /// default move budget (`reprice` is keyed by epoch).
+    fn solve_path<F>(
+        chain: &EpochChain,
+        scenario: Scenario,
+        initial: &[Placement],
+        rebalance: bool,
+        reprice: &F,
+    ) -> Vec<EpochStep>
+    where
+        F: Fn(usize, usize, Placement, &ViewCharge) -> ViewCharge + Sync,
+    {
+        let budget = crate::local_search::default_move_budget(chain.pool().len());
+        let tree = EpochTree::path(chain.epochs().to_vec());
+        chain
+            .solve_tree(scenario, budget, &tree, initial, rebalance, reprice)
+            .remove(0)
+    }
+
+    fn assert_steps_eq(a: &[EpochStep], b: &[EpochStep], tag: &str) {
+        assert_eq!(a.len(), b.len(), "{tag}: length");
+        for (e, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(
+                x.outcome.evaluation, y.outcome.evaluation,
+                "{tag} epoch {e}"
+            );
+            assert_eq!(x.outcome.baseline, y.outcome.baseline, "{tag} epoch {e}");
+            assert_eq!(x.full_price, y.full_price, "{tag} epoch {e}");
+            assert_eq!(x.added, y.added, "{tag} epoch {e}");
+            assert_eq!(x.kept, y.kept, "{tag} epoch {e}");
+            assert_eq!(x.dropped, y.dropped, "{tag} epoch {e}");
+            assert_eq!(x.moved, y.moved, "{tag} epoch {e}");
+            assert_eq!(x.placements, y.placements, "{tag} epoch {e}");
+        }
+    }
+
+    /// The warm path solve and the rebuild-per-epoch reference agree
+    /// bit for bit under every scenario.
+    fn assert_warm_matches_rebuild<F>(
+        chain: &EpochChain,
+        initial: &[Placement],
+        rebalance: bool,
+        reprice: &F,
+    ) where
+        F: Fn(usize, usize, Placement, &ViewCharge) -> ViewCharge + Sync,
+    {
+        let budget = crate::local_search::default_move_budget(chain.pool().len());
+        for scenario in scenarios() {
+            let warm = solve_path(chain, scenario, initial, rebalance, reprice);
+            let rebuilt = chain.solve_rebuilding(scenario, budget, initial, rebalance, reprice);
+            assert_steps_eq(
+                &warm,
+                &rebuilt,
+                &format!("{scenario:?} rebalance={rebalance}"),
+            );
+        }
+    }
+
     #[test]
     fn zero_drift_keeps_the_selection_and_stops_paying_materialization() {
         let chain = flat_chain(3);
@@ -1784,65 +1468,34 @@ mod tests {
     fn warm_start_matches_rebuild_per_epoch_bit_for_bit() {
         // Drifting frequencies so transitions actually fire.
         let chain = drifting_chain(5);
-        for scenario in [
-            Scenario::tradeoff(0.02),
-            Scenario::tradeoff_normalized(0.5),
-            Scenario::time_limit(Hours::new(20.0)),
-        ] {
-            let warm = chain.solve(scenario);
-            let rebuilt = chain.solve_rebuilding(scenario);
-            assert_eq!(warm.len(), rebuilt.len());
-            for (e, (w, r)) in warm.iter().zip(&rebuilt).enumerate() {
-                assert_eq!(w.outcome.evaluation, r.outcome.evaluation, "epoch {e}");
-                assert_eq!(w.full_price, r.full_price, "epoch {e}");
-                assert_eq!(w.added, r.added, "epoch {e}");
-                assert_eq!(w.kept, r.kept, "epoch {e}");
-                assert_eq!(w.dropped, r.dropped, "epoch {e}");
-            }
+        let budget = crate::local_search::default_move_budget(chain.pool().len());
+        let initial = chain.pool_placements();
+        for scenario in scenarios() {
+            let rebuilt = chain.solve_rebuilding(scenario, budget, &initial, false, &identity);
+            assert_steps_eq(&chain.solve(scenario), &rebuilt, &format!("{scenario:?}"));
         }
     }
 
     #[test]
     fn repriced_warm_start_matches_rebuild_bit_for_bit() {
-        let chain = drifting_chain(5);
         // A per-epoch transform shaped like the market's interruption
         // premium: build/refresh inflate with the epoch, answers don't.
-        let reprice = |e: usize, _k: usize, c: &ViewCharge| -> ViewCharge {
-            let attempts = 1.0 + 0.15 * e as f64;
-            ViewCharge {
-                materialization: c.materialization * attempts,
-                maintenance: c.maintenance * attempts,
-                ..c.clone()
-            }
-        };
-        let budget = crate::local_search::default_move_budget(chain.pool().len());
-        for scenario in [
-            Scenario::tradeoff(0.02),
-            Scenario::tradeoff_normalized(0.5),
-            Scenario::time_limit(Hours::new(20.0)),
-        ] {
-            let warm = chain.solve_repriced(scenario, &reprice);
-            let rebuilt = chain.solve_repriced_rebuilding_bounded(scenario, budget, &reprice);
-            assert_eq!(warm.len(), rebuilt.len());
-            for (e, (w, r)) in warm.iter().zip(&rebuilt).enumerate() {
-                assert_eq!(w.outcome.evaluation, r.outcome.evaluation, "epoch {e}");
-                assert_eq!(w.added, r.added, "epoch {e}");
-                assert_eq!(w.kept, r.kept, "epoch {e}");
-                assert_eq!(w.dropped, r.dropped, "epoch {e}");
-            }
-        }
+        let chain = drifting_chain(5);
+        let reprice =
+            |e: usize, _k: usize, _p: Placement, c: &ViewCharge| scaled(c, 1.0 + 0.15 * e as f64);
+        assert_warm_matches_rebuild(&chain, &chain.pool_placements(), false, &reprice);
     }
 
     #[test]
     fn identity_reprice_is_solve_bounded_bit_for_bit() {
+        // Under a placement-blind transform no placement move can
+        // strictly improve, so the joint search reproduces the plain
+        // flip/swap pass of `solve` exactly and never moves a view.
         let chain = drifting_chain(4);
-        for scenario in [Scenario::tradeoff(0.02), Scenario::tradeoff_normalized(0.5)] {
-            let plain = chain.solve(scenario);
-            let repriced = chain.solve_repriced(scenario, &|_, _, c| c.clone());
-            for (e, (p, r)) in plain.iter().zip(&repriced).enumerate() {
-                assert_eq!(p.outcome.evaluation, r.outcome.evaluation, "epoch {e}");
-                assert_eq!(p.full_price, r.full_price, "epoch {e}");
-            }
+        let initial = chain.pool_placements();
+        for scenario in scenarios() {
+            let joint = solve_path(&chain, scenario, &initial, true, &identity);
+            assert_steps_eq(&chain.solve(scenario), &joint, &format!("{scenario:?}"));
         }
     }
 
@@ -1903,23 +1556,6 @@ mod tests {
         assert!(horizon_time(&aware) <= horizon_time(&myopic));
     }
 
-    /// Paper-like pool with sinusoidally drifting frequencies.
-    fn drifting_chain(epochs: usize) -> EpochChain {
-        let p = paper_like_problem();
-        let models = (0..epochs)
-            .map(|e| {
-                let mut ctx = p.model().context().clone();
-                let m = ctx.workload.len() as f64;
-                for (i, q) in ctx.workload.iter_mut().enumerate() {
-                    let phase = (e as f64 + i as f64 / m) * std::f64::consts::TAU / 4.0;
-                    q.frequency = 1.0 + 0.8 * phase.sin();
-                }
-                CloudCostModel::new(ctx)
-            })
-            .collect();
-        EpochChain::new(models, p.candidates().to_vec())
-    }
-
     #[test]
     fn transition_partitions_are_consistent() {
         let chain = drifting_chain(6);
@@ -1941,76 +1577,31 @@ mod tests {
         }
     }
 
-    /// A fleet transform shaped like the market's: spot work rides a
-    /// per-epoch rate factor and an interruption premium, reserved work
-    /// bills at the primary sheet.
-    fn fleet_reprice(
-        spot_factor: &'static [f64],
-        spot_attempts: &'static [f64],
-    ) -> impl Fn(usize, usize, Placement, &ViewCharge) -> ViewCharge {
-        move |e, _k, p, c| match p {
-            Placement::Reserved => c.clone(),
-            Placement::Spot => ViewCharge {
-                materialization: c.materialization * (spot_factor[e] * spot_attempts[e]),
-                maintenance: c.maintenance * (spot_factor[e] * spot_attempts[e]),
-                ..c.clone()
-            },
-        }
-    }
-
     #[test]
     fn fleet_warm_start_matches_rebuild_bit_for_bit() {
+        // Spot rate factor times interruption attempts, per epoch.
         let chain = drifting_chain(5);
-        let factors: &[f64] = &[0.4, 0.5, 0.9, 0.6, 0.4];
-        let attempts: &[f64] = &[1.0, 1.5, 2.0, 1.25, 1.0];
-        let reprice = fleet_reprice(factors, attempts);
+        let reprice = spot_at(&[0.4, 0.75, 1.8, 0.75, 0.4]);
         let initial = vec![Placement::Reserved; chain.pool().len()];
-        let budget = crate::local_search::default_move_budget(chain.pool().len());
-        for scenario in [
-            Scenario::tradeoff(0.02),
-            Scenario::tradeoff_normalized(0.5),
-            Scenario::time_limit(Hours::new(20.0)),
-        ] {
-            for rebalance in [false, true] {
-                let warm =
-                    chain.solve_fleet_bounded(scenario, budget, &initial, rebalance, &reprice);
-                let rebuilt = chain.solve_fleet_rebuilding_bounded(
-                    scenario, budget, &initial, rebalance, &reprice,
-                );
-                assert_eq!(warm.len(), rebuilt.len());
-                for (e, (w, r)) in warm.iter().zip(&rebuilt).enumerate() {
-                    assert_eq!(w.outcome.evaluation, r.outcome.evaluation, "epoch {e}");
-                    assert_eq!(w.placements, r.placements, "epoch {e}");
-                    assert_eq!(w.added, r.added, "epoch {e}");
-                    assert_eq!(w.kept, r.kept, "epoch {e}");
-                    assert_eq!(w.moved, r.moved, "epoch {e}");
-                    assert_eq!(w.dropped, r.dropped, "epoch {e}");
-                }
-            }
+        for rebalance in [false, true] {
+            assert_warm_matches_rebuild(&chain, &initial, rebalance, &reprice);
         }
     }
 
     #[test]
     fn pinned_fleet_is_solve_repriced_bit_for_bit() {
-        // A fleet that cannot rebalance, with every view on the primary
-        // pool, is the single-fleet repriced chain exactly — the
-        // degenerate case the workspace-level conformance tests extend
-        // to `Advisor::solve_market`.
+        // A fleet that cannot rebalance, with every view pinned to the
+        // spot pool, is the single-fleet chain repriced by the spot
+        // transform exactly — the degenerate case the workspace-level
+        // conformance tests extend to `Advisor::solve_market`.
         let chain = drifting_chain(4);
-        let n = chain.pool().len();
-        let attempts: &[f64] = &[1.0, 1.6, 2.2, 1.3];
-        let single = |e: usize, _k: usize, c: &ViewCharge| -> ViewCharge {
-            ViewCharge {
-                materialization: c.materialization * attempts[e],
-                maintenance: c.maintenance * attempts[e],
-                ..c.clone()
-            }
-        };
-        let fleet = move |e: usize, k: usize, _p: Placement, c: &ViewCharge| single(e, k, c);
-        for scenario in [Scenario::tradeoff(0.02), Scenario::tradeoff_normalized(0.5)] {
-            let plain = chain.solve_repriced(scenario, &single);
-            let pinned = chain.solve_fleet(scenario, &vec![Placement::Reserved; n], false, &fleet);
-            for (e, (p, f)) in plain.iter().zip(&pinned).enumerate() {
+        let attempts = [1.0, 1.6, 2.2, 1.3];
+        let single = |e: usize, _k: usize, _p: Placement, c: &ViewCharge| scaled(c, attempts[e]);
+        let pinned = vec![Placement::Spot; chain.pool().len()];
+        for scenario in scenarios() {
+            let plain = solve_path(&chain, scenario, &chain.pool_placements(), false, &single);
+            let fleet = solve_path(&chain, scenario, &pinned, false, &spot_at(&attempts));
+            for (e, (p, f)) in plain.iter().zip(&fleet).enumerate() {
                 assert_eq!(p.outcome.evaluation, f.outcome.evaluation, "epoch {e}");
                 assert_eq!(p.added, f.added, "epoch {e}");
                 assert_eq!(p.kept, f.kept, "epoch {e}");
@@ -2025,44 +1616,31 @@ mod tests {
     /// on either pool).
     fn hot_chain(epochs: usize) -> EpochChain {
         use mv_cost::{CostContext, QueryCharge};
+        use mv_units::Gb;
         let pricing = mv_pricing::presets::aws_2012();
         let instance = pricing.compute.instance("small").unwrap().clone();
-        let models: Vec<CloudCostModel> = (0..epochs)
-            .map(|_| {
-                let mut q1 = QueryCharge::new("Q1", mv_units::Gb::new(0.01), Hours::new(10.0));
-                q1.frequency = 5.0;
-                let mut q2 = QueryCharge::new("Q2", mv_units::Gb::new(0.01), Hours::new(10.0));
-                q2.frequency = 5.0;
-                CloudCostModel::new(CostContext {
-                    pricing: pricing.clone(),
-                    instance: instance.clone(),
-                    nb_instances: 1,
-                    months: mv_units::Months::new(1.0),
-                    dataset_size: mv_units::Gb::new(10.0),
-                    inserts: vec![],
-                    workload: vec![q1, q2],
-                })
-            })
-            .collect();
-        let pool = vec![
-            ViewCharge::new(
-                "spec-Q1",
-                mv_units::Gb::new(1.0),
-                Hours::new(8.0),
-                Hours::new(2.0),
-                2,
-            )
-            .answers(0, Hours::new(0.5)),
-            ViewCharge::new(
-                "spec-Q2",
-                mv_units::Gb::new(1.0),
-                Hours::new(8.0),
-                Hours::new(2.0),
-                2,
-            )
-            .answers(1, Hours::new(0.5)),
-        ];
-        EpochChain::new(models, pool)
+        let query = |name: &str| {
+            let mut q = QueryCharge::new(name, Gb::new(0.01), Hours::new(10.0));
+            q.frequency = 5.0;
+            q
+        };
+        let model = CloudCostModel::new(CostContext {
+            pricing,
+            instance,
+            nb_instances: 1,
+            months: mv_units::Months::new(1.0),
+            dataset_size: Gb::new(10.0),
+            inserts: vec![],
+            workload: vec![query("Q1"), query("Q2")],
+        });
+        let spec = |name: &str, query: usize| {
+            ViewCharge::new(name, Gb::new(1.0), Hours::new(8.0), Hours::new(2.0), 2)
+                .answers(query, Hours::new(0.5))
+        };
+        EpochChain::new(
+            vec![model; epochs],
+            vec![spec("spec-Q1", 0), spec("spec-Q2", 1)],
+        )
     }
 
     #[test]
@@ -2071,17 +1649,11 @@ mod tests {
         // every selected view should end up spot-placed, and flipping
         // placement must never rebuild the evaluator.
         let chain = hot_chain(3);
-        let n = chain.pool().len();
-        let factors: &[f64] = &[0.4, 0.4, 0.4];
-        let attempts: &[f64] = &[1.0, 1.0, 1.0];
-        let reprice = fleet_reprice(factors, attempts);
+        let reserved = vec![Placement::Reserved; chain.pool().len()];
+        let reprice = spot_at(&[0.4, 0.4, 0.4]);
+        let scenario = Scenario::tradeoff(0.02);
         let counters = mv_obs::CounterGuard::scoped();
-        let steps = chain.solve_fleet(
-            Scenario::tradeoff(0.02),
-            &vec![Placement::Reserved; n],
-            true,
-            &reprice,
-        );
+        let steps = solve_path(&chain, scenario, &reserved, true, &reprice);
         assert_eq!(
             counters.delta(mv_obs::Counter::EvaluatorBuild),
             1,
@@ -2095,12 +1667,7 @@ mod tests {
         }
         // The spot-placed horizon is strictly cheaper than the pinned
         // reserved one.
-        let pinned = chain.solve_fleet(
-            Scenario::tradeoff(0.02),
-            &vec![Placement::Reserved; n],
-            false,
-            &reprice,
-        );
+        let pinned = solve_path(&chain, scenario, &reserved, false, &reprice);
         assert!(horizon_cost(&steps) < horizon_cost(&pinned));
     }
 
@@ -2110,16 +1677,9 @@ mod tests {
         // work 8×. The chain moves the resident views to reserved at
         // the boundary — classified `moved`, re-paying materialization.
         let chain = hot_chain(3);
-        let n = chain.pool().len();
-        let factors: &[f64] = &[0.2, 1.0, 1.0];
-        let attempts: &[f64] = &[1.0, 8.0, 8.0];
-        let reprice = fleet_reprice(factors, attempts);
-        let steps = chain.solve_fleet(
-            Scenario::tradeoff(0.02),
-            &vec![Placement::Spot; n],
-            true,
-            &reprice,
-        );
+        let spot = vec![Placement::Spot; chain.pool().len()];
+        let reprice = spot_at(&[0.2, 8.0, 8.0]);
+        let steps = solve_path(&chain, Scenario::tradeoff(0.02), &spot, true, &reprice);
         let selected: Vec<usize> = steps[0].selection().ones().collect();
         assert!(!selected.is_empty());
         for k in &selected {
@@ -2127,20 +1687,13 @@ mod tests {
         }
         // The boundary move re-pays the build: moved non-empty and the
         // epoch bills materialization again.
-        let moved_epoch = steps
+        let moved = steps
             .iter()
-            .position(|s| !s.moved.is_empty())
+            .find(|s| !s.moved.is_empty())
             .expect("the crunch should force a placement move");
-        assert!(
-            steps[moved_epoch]
-                .outcome
-                .evaluation
-                .breakdown
-                .compute_materialization
-                > Money::ZERO
-        );
-        for k in steps[moved_epoch].selection().ones() {
-            assert_eq!(steps[moved_epoch].placements[k], Placement::Reserved);
+        assert!(moved.outcome.evaluation.breakdown.compute_materialization > Money::ZERO);
+        for k in moved.selection().ones() {
+            assert_eq!(moved.placements[k], Placement::Reserved);
         }
     }
 
@@ -2148,17 +1701,14 @@ mod tests {
     fn dp_fleet_single_epoch_matches_selection_dp_on_a_neutral_fleet() {
         // With both pools charging identically, the joint DP must land
         // on the selection-only DP's numbers.
-        let p = paper_like_problem();
-        let chain = EpochChain::new(vec![p.model().clone(); 3], p.candidates().to_vec());
+        let chain = flat_chain(3);
         let scenario = Scenario::tradeoff_normalized(0.5);
         let dp = chain.solve_dp_exact(scenario);
-        let joint = chain.solve_dp_fleet(scenario, &|_, _, _, c| c.clone());
+        let joint = chain.solve_dp_fleet(scenario, &identity);
         assert_eq!(joint.total_violation, dp.total_violation);
         assert_eq!(joint.total_objective, dp.total_objective);
         assert_eq!(joint.total_cost(), dp.total_cost());
-        for (e, (a, b)) in joint.selections.iter().zip(&dp.selections).enumerate() {
-            assert_eq!(a, b, "epoch {e}");
-        }
+        assert_eq!(joint.selections, dp.selections);
     }
 
     #[test]
@@ -2166,18 +1716,19 @@ mod tests {
     fn dp_fleet_rejects_oversized_pools() {
         let p = crate::fixtures::random_problem(1, 3, 7);
         let chain = EpochChain::new(vec![p.model().clone()], p.candidates().to_vec());
-        chain.solve_dp_fleet(Scenario::tradeoff_normalized(0.5), &|_, _, _, c| c.clone());
+        chain.solve_dp_fleet(Scenario::tradeoff_normalized(0.5), &identity);
     }
 
     #[test]
     #[should_panic(expected = "initial placements must cover")]
     fn fleet_initial_must_align() {
         let chain = flat_chain(2);
-        chain.solve_fleet(
+        solve_path(
+            &chain,
             Scenario::tradeoff(0.02),
             &[Placement::Spot],
             true,
-            &|_, _, _, c: &ViewCharge| c.clone(),
+            &identity,
         );
     }
 
@@ -2199,22 +1750,11 @@ mod tests {
         );
     }
 
-    /// Scales every query frequency of `model` by `1 + delta` — a
-    /// deterministic stand-in for a branch-specific price/drift quote.
-    fn perturbed(model: &CloudCostModel, delta: f64) -> CloudCostModel {
-        if delta == 0.0 {
-            return model.clone();
-        }
-        let mut ctx = model.context().clone();
-        for q in ctx.workload.iter_mut() {
-            q.frequency *= 1.0 + delta;
-        }
-        CloudCostModel::new(ctx)
-    }
-
     /// A 3-leaf, 7-node tree over a 4-epoch drifting chain: paths share
     /// epochs 0–1, split at epoch 2 (two branches), and branch B splits
-    /// again at epoch 3.
+    /// again at epoch 3. Each branch scales every query frequency by
+    /// `1 + delta` — a deterministic stand-in for a branch-specific
+    /// price/drift quote.
     ///
     /// ```text
     ///   0 ── 1 ──┬── 2 ─── 4          leaves: [4, 5, 6]
@@ -2222,11 +1762,16 @@ mod tests {
     ///                    └─ 6
     /// ```
     fn branchy_tree(chain: &EpochChain) -> EpochTree {
-        let m = chain.epochs();
-        let node = |parent: Option<usize>, epoch: usize, delta: f64| EpochTreeNode {
-            parent,
-            epoch,
-            model: perturbed(&m[epoch], delta),
+        let node = |parent: Option<usize>, epoch: usize, delta: f64| {
+            let mut ctx = chain.epochs()[epoch].context().clone();
+            for q in ctx.workload.iter_mut() {
+                q.frequency *= 1.0 + delta;
+            }
+            EpochTreeNode {
+                parent,
+                epoch,
+                model: CloudCostModel::new(ctx),
+            }
         };
         EpochTree::new(
             vec![
@@ -2242,172 +1787,76 @@ mod tests {
         )
     }
 
-    /// The flat per-path reference for one leaf: its lineage solved as
-    /// a stand-alone chain with the node-indexed reprice mapped down to
-    /// epochs.
-    fn lineage_chain(
-        chain: &EpochChain,
-        tree: &EpochTree,
-        leaf: usize,
-    ) -> (EpochChain, Vec<usize>) {
-        let lineage = tree.lineage(leaf);
-        let models: Vec<CloudCostModel> = lineage
-            .iter()
-            .map(|&i| tree.nodes()[i].model.clone())
-            .collect();
-        (EpochChain::new(models, chain.pool().to_vec()), lineage)
-    }
-
-    fn assert_steps_eq(a: &[EpochStep], b: &[EpochStep], tag: &str) {
-        assert_eq!(a.len(), b.len(), "{tag}: length");
-        for (e, (x, y)) in a.iter().zip(b).enumerate() {
-            assert_eq!(
-                x.outcome.evaluation, y.outcome.evaluation,
-                "{tag} epoch {e}"
-            );
-            assert_eq!(x.outcome.baseline, y.outcome.baseline, "{tag} epoch {e}");
-            assert_eq!(x.full_price, y.full_price, "{tag} epoch {e}");
-            assert_eq!(x.added, y.added, "{tag} epoch {e}");
-            assert_eq!(x.kept, y.kept, "{tag} epoch {e}");
-            assert_eq!(x.dropped, y.dropped, "{tag} epoch {e}");
-            assert_eq!(x.moved, y.moved, "{tag} epoch {e}");
-            assert_eq!(x.placements, y.placements, "{tag} epoch {e}");
+    /// Solves `tree` with `reprice` keyed on each node's epoch and
+    /// checks every leaf against its lineage solved alone: a
+    /// stand-alone chain over the lineage's node models, as its own
+    /// one-path tree.
+    fn assert_tree_matches_per_path<F>(chain: &EpochChain, initial: &[Placement], reprice: &F)
+    where
+        F: Fn(usize, usize, Placement, &ViewCharge) -> ViewCharge + Sync,
+    {
+        let tree = branchy_tree(chain);
+        let budget = crate::local_search::default_move_budget(chain.pool().len());
+        let by_node = |node: usize, k: usize, p: Placement, c: &ViewCharge| {
+            reprice(tree.nodes()[node].epoch, k, p, c)
+        };
+        for scenario in scenarios() {
+            for rebalance in [false, true] {
+                let solved =
+                    chain.solve_tree(scenario, budget, &tree, initial, rebalance, &by_node);
+                assert_eq!(solved.len(), tree.leaves().len());
+                for (j, &leaf) in tree.leaves().iter().enumerate() {
+                    let lineage = tree.lineage(leaf);
+                    let models = lineage.iter().map(|&i| tree.nodes()[i].model.clone());
+                    let alone = EpochChain::new(models.collect(), chain.pool().to_vec());
+                    let reference = solve_path(&alone, scenario, initial, rebalance, reprice);
+                    let tag = format!("leaf {leaf} rebalance={rebalance} ({scenario:?})");
+                    assert_steps_eq(&solved[j], &reference, &tag);
+                }
+            }
         }
     }
 
     #[test]
     fn tree_solve_is_bit_identical_to_flat_per_path_solves() {
-        let chain = drifting_chain(4);
-        let tree = branchy_tree(&chain);
         // A per-node transform shaped like the market's interruption
-        // premium, keyed on the node's epoch so the flat reference can
-        // reproduce it exactly.
-        let attempts = |e: usize| 1.0 + 0.2 * e as f64;
-        let tree_reprice = |node: usize, _k: usize, c: &ViewCharge| -> ViewCharge {
-            let a = attempts(tree.nodes()[node].epoch);
-            ViewCharge {
-                materialization: c.materialization * a,
-                maintenance: c.maintenance * a,
-                ..c.clone()
-            }
-        };
-        for scenario in [
-            Scenario::tradeoff(0.02),
-            Scenario::tradeoff_normalized(0.5),
-            Scenario::time_limit(Hours::new(20.0)),
-        ] {
-            let solved = chain.solve_tree(scenario, &tree, &tree_reprice);
-            assert_eq!(solved.len(), tree.leaves().len());
-            for (j, &leaf) in tree.leaves().iter().enumerate() {
-                let (flat, _) = lineage_chain(&chain, &tree, leaf);
-                let reference = flat.solve_repriced(scenario, &|e, _k, c: &ViewCharge| {
-                    let a = attempts(e);
-                    ViewCharge {
-                        materialization: c.materialization * a,
-                        maintenance: c.maintenance * a,
-                        ..c.clone()
-                    }
-                });
-                assert_steps_eq(
-                    &solved[j],
-                    &reference,
-                    &format!("leaf {leaf} ({scenario:?})"),
-                );
-            }
-        }
+        // premium, placement-blind.
+        let chain = drifting_chain(4);
+        let reprice =
+            |e: usize, _k: usize, _p: Placement, c: &ViewCharge| scaled(c, 1.0 + 0.2 * e as f64);
+        assert_tree_matches_per_path(&chain, &chain.pool_placements(), &reprice);
     }
 
     #[test]
     fn tree_fleet_solve_is_bit_identical_to_flat_per_path_solves() {
+        // A spot factor with enough spread to force rebalancing.
         let chain = drifting_chain(4);
-        let tree = branchy_tree(&chain);
-        let n = chain.pool().len();
-        let initial = vec![Placement::Reserved; n];
-        // Spot factor keyed on the node's epoch (so the flat reference
-        // can reproduce it) with enough spread to force rebalancing.
-        let spot = |e: usize| [0.4, 0.5, 0.9, 0.45][e];
-        let tree_reprice = |node: usize, _k: usize, p: Placement, c: &ViewCharge| -> ViewCharge {
-            match p {
-                Placement::Reserved => c.clone(),
-                Placement::Spot => {
-                    let f = spot(tree.nodes()[node].epoch);
-                    ViewCharge {
-                        materialization: c.materialization * f,
-                        maintenance: c.maintenance * f,
-                        ..c.clone()
-                    }
-                }
-            }
-        };
-        let flat_reprice = |e: usize, _k: usize, p: Placement, c: &ViewCharge| -> ViewCharge {
-            match p {
-                Placement::Reserved => c.clone(),
-                Placement::Spot => ViewCharge {
-                    materialization: c.materialization * spot(e),
-                    maintenance: c.maintenance * spot(e),
-                    ..c.clone()
-                },
-            }
-        };
-        for scenario in [Scenario::tradeoff(0.02), Scenario::tradeoff_normalized(0.5)] {
-            for rebalance in [false, true] {
-                let solved =
-                    chain.solve_tree_fleet(scenario, &tree, &initial, rebalance, &tree_reprice);
-                for (j, &leaf) in tree.leaves().iter().enumerate() {
-                    let (flat, _) = lineage_chain(&chain, &tree, leaf);
-                    let reference = flat.solve_fleet(scenario, &initial, rebalance, &flat_reprice);
-                    assert_steps_eq(
-                        &solved[j],
-                        &reference,
-                        &format!("leaf {leaf} rebalance={rebalance} ({scenario:?})"),
-                    );
-                }
-            }
-        }
+        let initial = vec![Placement::Reserved; chain.pool().len()];
+        assert_tree_matches_per_path(&chain, &initial, &spot_at(&[0.4, 0.5, 0.9, 0.45]));
     }
 
     #[test]
     fn tree_solve_is_schedule_independent() {
         // The work-queue path must match the serial inline path for any
-        // worker count (the 1-CPU CI box never exercises it otherwise).
+        // worker count (a 1-CPU box never exercises it otherwise).
         let chain = drifting_chain(4);
         let tree = branchy_tree(&chain);
         let scenario = Scenario::tradeoff_normalized(0.5);
         let budget = crate::local_search::default_move_budget(chain.pool().len());
-        let serial =
-            chain.solve_tree_threaded(scenario, budget, &tree, 1, &|_, _, c: &ViewCharge| {
-                c.clone()
-            });
-        for threads in [2, 4] {
-            let parallel = chain.solve_tree_threaded(
-                scenario,
-                budget,
-                &tree,
-                threads,
-                &|_, _, c: &ViewCharge| c.clone(),
-            );
-            for (j, (s, p)) in serial.iter().zip(&parallel).enumerate() {
-                assert_steps_eq(s, p, &format!("leaf {j} threads={threads}"));
+        // Keyed by node: the branchy tree has seven.
+        let fleet = spot_at(&[0.4; 7]);
+        let single = chain.pool_placements();
+        let reserved = vec![Placement::Reserved; chain.pool().len()];
+        for (initial, rebalance) in [(&single, false), (&reserved, true)] {
+            let search = chain.search(scenario, budget, initial, rebalance, &fleet);
+            let serial = chain.solve_tree_threaded(&search, &tree, initial, 1);
+            for threads in [2, 4] {
+                let parallel = chain.solve_tree_threaded(&search, &tree, initial, threads);
+                for (j, (s, p)) in serial.iter().zip(&parallel).enumerate() {
+                    let tag = format!("rebalance={rebalance} leaf {j} threads={threads}");
+                    assert_steps_eq(s, p, &tag);
+                }
             }
-        }
-        let n = chain.pool().len();
-        let initial = vec![Placement::Reserved; n];
-        let fleet = |_: usize, _: usize, p: Placement, c: &ViewCharge| -> ViewCharge {
-            match p {
-                Placement::Reserved => c.clone(),
-                Placement::Spot => ViewCharge {
-                    materialization: c.materialization * 0.4,
-                    maintenance: c.maintenance * 0.4,
-                    ..c.clone()
-                },
-            }
-        };
-        let serial_fleet =
-            chain.solve_tree_fleet_threaded(scenario, budget, &tree, 1, &initial, true, &fleet);
-        let parallel_fleet =
-            chain.solve_tree_fleet_threaded(scenario, budget, &tree, 4, &initial, true, &fleet);
-        for (j, (s, p)) in serial_fleet.iter().zip(&parallel_fleet).enumerate() {
-            assert_steps_eq(s, p, &format!("fleet leaf {j}"));
         }
     }
 
@@ -2416,48 +1865,50 @@ mod tests {
         // A deterministic market's tree is a single chain: the tree
         // solve must be `solve` exactly, for every leaf alias.
         let chain = drifting_chain(4);
-        let nodes: Vec<EpochTreeNode> = (0..4)
-            .map(|e| EpochTreeNode {
-                parent: (e > 0).then(|| e - 1),
-                epoch: e,
-                model: chain.epochs()[e].clone(),
-            })
-            .collect();
-        let tree = EpochTree::new(nodes, vec![3, 3, 3]);
+        let path = EpochTree::path(chain.epochs().to_vec());
+        let tree = EpochTree::new(path.nodes().to_vec(), vec![3, 3, 3]);
         assert_eq!(tree.edges(), 3);
         assert_eq!(tree.width(), 1);
         let scenario = Scenario::tradeoff(0.02);
-        let solved = chain.solve_tree(scenario, &tree, &|_, _, c: &ViewCharge| c.clone());
+        let budget = crate::local_search::default_move_budget(chain.pool().len());
+        let initial = chain.pool_placements();
+        let solved = chain.solve_tree(scenario, budget, &tree, &initial, false, &identity);
         let reference = chain.solve(scenario);
         for (j, steps) in solved.iter().enumerate() {
             assert_steps_eq(steps, &reference, &format!("alias {j}"));
         }
     }
 
-    #[test]
-    #[should_panic(expected = "one epoch below its parent")]
-    fn tree_rejects_epoch_gaps() {
-        let chain = flat_chain(3);
+    /// A two-node tree over `flat_chain(3)` whose second node sits at
+    /// `second_epoch`.
+    fn two_node_tree(chain: &EpochChain, second_epoch: usize) -> EpochTree {
         let node = |parent: Option<usize>, epoch: usize| EpochTreeNode {
             parent,
             epoch,
             model: chain.epochs()[epoch].clone(),
         };
-        EpochTree::new(vec![node(None, 0), node(Some(0), 2)], vec![1]);
+        EpochTree::new(vec![node(None, 0), node(Some(0), second_epoch)], vec![1])
+    }
+
+    #[test]
+    #[should_panic(expected = "one epoch below its parent")]
+    fn tree_rejects_epoch_gaps() {
+        two_node_tree(&flat_chain(3), 2);
     }
 
     #[test]
     #[should_panic(expected = "final epoch")]
     fn tree_leaves_must_reach_the_horizon() {
         let chain = flat_chain(3);
-        let node = |parent: Option<usize>, epoch: usize| EpochTreeNode {
-            parent,
-            epoch,
-            model: chain.epochs()[epoch].clone(),
-        };
-        let tree = EpochTree::new(vec![node(None, 0), node(Some(0), 1)], vec![1]);
-        chain.solve_tree(Scenario::tradeoff(0.02), &tree, &|_, _, c: &ViewCharge| {
-            c.clone()
-        });
+        let tree = two_node_tree(&chain, 1);
+        let initial = chain.pool_placements();
+        chain.solve_tree(
+            Scenario::tradeoff(0.02),
+            16,
+            &tree,
+            &initial,
+            false,
+            &identity,
+        );
     }
 }

@@ -99,80 +99,57 @@
 //! each epoch's candidates by what the *previous* epoch materialized
 //! (kept views pay maintenance only via [`mv_cost::ViewCharge::
 //! carried`]; added views pay full materialization; dropped views
-//! forfeit theirs), making the optimum path-dependent. Epoch
-//! boundaries reuse the live evaluator —
-//! [`IncrementalEvaluator::retarget`] swaps the costing model in O(m)
-//! while the answer caches survive, and
-//! [`IncrementalEvaluator::update_charge`] splices re-priced charges
-//! in place — instead of rebuilding the problem per epoch
-//! (`crates/bench/benches/horizon.rs` measures the difference;
-//! [`EpochChain::solve_rebuilding`] is the bit-identical rebuild
-//! reference). [`EpochChain::solve_myopic`] is the transition-blind
-//! re-solve-every-period comparator the regression tests beat.
+//! forfeit theirs), making the optimum path-dependent.
 //!
-//! Charges can additionally be re-priced per epoch:
-//! [`EpochChain::solve_repriced`] passes every transition charge
-//! through a caller-supplied transform on the same warm-started hot
-//! path (this is how `mv-market` splices spot-interruption risk
-//! premiums into the chain without this crate knowing about markets;
-//! the identity transform *is* [`EpochChain::solve`]). For tiny pools,
-//! [`EpochChain::solve_dp_exact`] is the finite-horizon DP oracle —
-//! exact over selection states per epoch — that quantifies how far the
-//! sequential chain sits from the true horizon optimum
-//! (`tests/dp_oracle.rs`).
-//!
-//! # Mixed-fleet placement
-//!
-//! On a hedged fleet (part reserved, part spot capacity) each view
-//! additionally carries a [`Placement`] deciding which pool its
-//! build/refresh work bills against. [`EpochChain::solve_fleet`]
-//! searches placements **jointly** with the selection: the improvement
-//! pass ([`local_search::improve_joint`]) gains a placement-flip move
-//! alongside select-flip/swap, and because the per-pool transform only
-//! moves materialization/maintenance/size (never the answer profile),
-//! every placement flip is one O(1) [`IncrementalEvaluator::
-//! update_charge`] splice on the same live evaluator — measured ≈ 38×
-//! faster than rebuilding the charged problem per probe
-//! (`crates/bench/benches/fleet.rs`). Transition accounting extends
-//! naturally: a view kept *on the same pool* is carried; a view moved
+//! One warm solver covers every multi-epoch case:
+//! [`EpochChain::solve_tree`] solves an [`EpochTree`] — a prefix forest
+//! of per-node costing models (node = one epoch under one price quote,
+//! edge = an epoch transition; `mv-market`'s `ScenarioTree` compiles
+//! into one) — visiting each node exactly once: one evaluator build per
+//! root, one [`IncrementalEvaluator::retarget`] (O(m) model swap; the
+//! answer caches survive) plus an [`IncrementalEvaluator::update_charge`]
+//! splice per re-priced candidate per edge, and one
+//! [`IncrementalEvaluator::fork`] per extra sibling at a split. Ready
+//! nodes are work-stolen across crossbeam threads. A caller-supplied
+//! `reprice(node, candidate, placement, charge)` transform carries the
+//! price dynamics (how `mv-market` splices interruption premiums in
+//! without this crate knowing about markets), and each view's
+//! [`Placement`] on a hedged fleet (part reserved, part spot capacity)
+//! is searched **jointly** with the selection when the solve
+//! rebalances: [`local_search::improve_joint`] adds a placement-flip
+//! move, each flip one O(1) `update_charge` splice, and a view moved
 //! across pools re-pays materialization ([`EpochStep::moved`]).
-//! [`EpochChain::solve_dp_fleet`] is the joint selection+placement DP
-//! oracle (3ⁿ states per epoch, n ≤ [`DP_FLEET_MAX_CANDIDATES`]); on
-//! the crunch fixture it exposes the chain's placement *lookahead*
-//! gap — the DP pre-places a view on reserved capacity ahead of a
-//! correlated interruption crunch the greedy chain only reacts to
-//! (`tests/dp_oracle.rs`).
 //!
-//! # Scenario trees
+//! The special cases are special arguments: a plain horizon is a
+//! one-path tree ([`EpochTree::path`]) under the identity transform —
+//! [`EpochChain::solve`]; a market horizon is a pinned fleet under a
+//! placement-blind risk transform. Because a node's search trajectory
+//! depends only on its model, its effective charges and the selection
+//! and placements it inherits, solving a shared prefix once is
+//! **bit-identical** to solving every path alone (pinned in
+//! [`epoch`]'s tests and proptest-pinned at the driver layer in
+//! `tests/tree_identity.rs`).
 //!
-//! Monte-Carlo price sweeps share work across sampled paths: an
-//! [`EpochTree`] is a prefix forest of per-node costing models (node =
-//! one epoch under one quote, edge = an epoch transition; built by
-//! `mv-market`'s `ScenarioTree` from the sampled quote paths), and
-//! [`EpochChain::solve_tree`] / [`EpochChain::solve_tree_fleet`] solve
-//! each tree **node** exactly once — one evaluator build per root, one
-//! warm [`IncrementalEvaluator::retarget`] + charge splice per edge,
-//! and one O(n + tables) [`IncrementalEvaluator::fork`] per extra
-//! sibling at a split — instead of per path × epoch. Because a node's
-//! search trajectory depends only on its model, its effective charges
-//! and the selection it inherits (all shared along a prefix), the
-//! per-leaf step sequences are **bit-identical** to solving each path
-//! through [`EpochChain::solve_repriced`] / [`EpochChain::solve_fleet`]
-//! on its own chain (proptest-pinned in `tests/tree_identity.rs` at the
-//! driver layer); ready nodes are work-stolen across crossbeam threads.
+//! The references around the warm solver:
+//! [`EpochChain::solve_rebuilding`] rebuilds the problem every epoch
+//! (bit-identical, only slower — `crates/bench/benches/horizon.rs`,
+//! `market.rs`, `fleet.rs`); [`EpochChain::solve_myopic`] is the
+//! transition-blind re-solve-every-period comparator the regression
+//! tests beat; [`EpochChain::solve_dp_exact`] and
+//! [`EpochChain::solve_dp_fleet`] (n ≤ [`DP_FLEET_MAX_CANDIDATES`]) are
+//! the exact finite-horizon oracles that quantify the sequential
+//! chain's lookahead gap — e.g. the joint DP pre-places a view on
+//! reserved capacity ahead of a correlated interruption crunch the
+//! greedy chain only reacts to (`tests/dp_oracle.rs`).
 //!
-//! The same two warm primitives carry the resident advisor service
+//! The same warm primitives carry the resident advisor service
 //! (`mvcloud::service`): a long-lived evaluator built **once** from the
 //! persistent candidate catalog, [`IncrementalEvaluator::retarget`]ed
 //! on every drift-triggered re-solve as live traffic shifts the
 //! workload frequencies (counter-pinned rebuild-free), and
 //! [`IncrementalEvaluator::fork`]ed per concurrent what-if probe for
 //! snapshot isolation over the copy-on-write problem.
-//! At K = 32 sampled paths the tree sweep beats the flat loop ≈ 1.2×
-//! on a volatile spot market and ≈ 1.5× on a crunchy hedged fleet
-//! (`crates/bench/benches/market.rs`, `fleet.rs`), compounding with the
-//! dirty-delta `snapshot()` that makes every node probe O(deg).
-//!
+
 //! # Telemetry
 //!
 //! Every hot path above reports into the [`mv_obs`] registry —
@@ -187,7 +164,7 @@
 //! | [`IncrementalEvaluator::update_charge`] | `evaluator/update_charge`, `evaluator/update_charge_fast` | — |
 //! | [`local_search`] probe loops | `search/probes`; accepted moves: `search/flip_moves`, `search/swap_moves`, `search/place_moves` | `placement_move` event per accepted pool move |
 //! | [`lns`] refine rounds | `lns/rounds`, `lns/accepted`, `lns/rejected` | `lns/destroy_size` histogram, `lns_round` event |
-//! | [`EpochChain`] epoch loops | `chain/epoch_steps` | `chain/epoch` span, `epoch_transition` event (added/kept/dropped/moved) |
+//! | [`EpochChain`] epoch steps | `chain/epoch_steps` | `epoch_transition` event (added/kept/dropped/moved) |
 //! | [`EpochTree`] node solves | `tree/node_solves`, `tree/root_solves` | `solve_tree/node` span (count ≡ tree nodes), `tree/fork_width` histogram, `tree_node_solve` event |
 //!
 //! Telemetry is *observational*: with the registry enabled, solver

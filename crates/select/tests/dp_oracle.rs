@@ -12,7 +12,7 @@
 //! pools").
 
 use mv_cost::{CloudCostModel, CostContext, Placement, QueryCharge, ViewCharge};
-use mv_select::epoch::EpochChain;
+use mv_select::epoch::{EpochChain, EpochTree};
 use mv_select::{fixtures, Scenario};
 use mv_units::{Gb, Hours, Money, Months};
 use proptest::prelude::*;
@@ -46,6 +46,24 @@ fn drifting_chain(problem: &mv_select::SelectionProblem, epochs: usize) -> Epoch
         })
         .collect();
     EpochChain::new(models, problem.candidates().to_vec())
+}
+
+/// The warm joint chain solve at the default move budget: the chain's
+/// own epochs as a one-path tree (`reprice` is keyed by epoch).
+fn solve_joint<F>(
+    chain: &EpochChain,
+    scenario: Scenario,
+    initial: &[Placement],
+    reprice: &F,
+) -> Vec<mv_select::EpochStep>
+where
+    F: Fn(usize, usize, Placement, &ViewCharge) -> ViewCharge + Sync,
+{
+    let budget = mv_select::local_search::default_move_budget(chain.pool().len());
+    let tree = EpochTree::path(chain.epochs().to_vec());
+    chain
+        .solve_tree(scenario, budget, &tree, initial, true, reprice)
+        .remove(0)
 }
 
 const EPS: f64 = 1e-9;
@@ -139,7 +157,7 @@ proptest! {
             }
         };
         let initial = vec![Placement::Reserved; n_candidates];
-        let steps = chain.solve_fleet(scenario, &initial, true, &reprice);
+        let steps = solve_joint(&chain, scenario, &initial, &reprice);
         let (chain_viol, chain_obj) = chain_totals(&steps, scenario);
         let dp = chain.solve_dp_fleet(scenario, &reprice);
         prop_assert_eq!(dp.selections.len(), epochs);
@@ -289,7 +307,7 @@ fn dp_fleet_pre_places_on_reserved_ahead_of_a_crunch() {
             }
         }
     };
-    let steps = chain.solve_fleet(scenario, &[Placement::Reserved], true, &reprice);
+    let steps = solve_joint(&chain, scenario, &[Placement::Reserved], &reprice);
     let (chain_viol, chain_obj) = chain_totals(&steps, scenario);
     // The chain takes the myopic bait: spot in epoch 0, spot forever.
     for (e, s) in steps.iter().enumerate() {

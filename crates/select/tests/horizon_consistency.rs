@@ -19,7 +19,8 @@
 //! views the single-period solve could not (see `mv_select::epoch`'s
 //! module docs).
 
-use mv_select::epoch::EpochChain;
+use mv_select::epoch::{EpochChain, EpochTree};
+use mv_select::Placement;
 use mv_select::{fixtures, solve_local_search_bounded, Scenario};
 use mv_units::Hours;
 use proptest::prelude::*;
@@ -51,7 +52,12 @@ proptest! {
         };
         let solo = solve_local_search_bounded(&p, scenario, MOVES);
         let chain = EpochChain::new(vec![p.model().clone(); epochs], p.candidates().to_vec());
-        let steps = chain.solve_bounded(scenario, MOVES);
+        let initial: Vec<Placement> = chain.pool().iter().map(|c| c.placement).collect();
+        let identity = |_: usize, _: usize, _: Placement, c: &mv_cost::ViewCharge| c.clone();
+        let tree = EpochTree::path(chain.epochs().to_vec());
+        let steps = chain
+            .solve_tree(scenario, MOVES, &tree, &initial, false, &identity)
+            .remove(0);
         prop_assert_eq!(steps.len(), epochs);
 
         // Epoch 0 is the single-period solve, bit for bit.
@@ -82,7 +88,7 @@ proptest! {
 
         // The warm-started chain and the rebuild-per-epoch reference
         // are the same algorithm: bit-identical steps.
-        let rebuilt = chain.solve_rebuilding_bounded(scenario, MOVES);
+        let rebuilt = chain.solve_rebuilding(scenario, MOVES, &initial, false, &identity);
         for (e, (w, r)) in steps.iter().zip(&rebuilt).enumerate() {
             prop_assert_eq!(&w.outcome.evaluation, &r.outcome.evaluation, "epoch {}", e);
             prop_assert_eq!(&w.full_price, &r.full_price, "epoch {}", e);

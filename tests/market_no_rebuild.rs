@@ -13,10 +13,14 @@
 //! the same process would count into an open guard window.
 
 use mv_obs::Counter;
+use mvcloud::cost::{InterruptionRisk, ViewCharge};
 use mvcloud::fleet::FleetConfig;
 use mvcloud::market::{
     CorrelatedHazard, MarketConfig, MarketScenario, PriceProcess, ScenarioTree, SpotMarket,
 };
+use mvcloud::pricing::Placement;
+use mvcloud::select::epoch::{EpochChain, EpochTree};
+use mvcloud::select::local_search::default_move_budget;
 use mvcloud::{sales_domain, Advisor, AdvisorConfig, Scenario};
 
 /// The work a tree-aware solve must pay for this market: (evaluator
@@ -91,25 +95,40 @@ fn market_solves_pay_tree_shaped_work() {
         "expected one evaluator fork per extra sibling at each split"
     );
 
-    // The flat reference loop pays per distinct path × epoch: one
-    // build per representative chain, one retarget per epoch boundary
-    // of each, and no forks at all.
-    let flat_config = MarketConfig {
-        flat: true,
-        ..config
-    };
+    // Solving each sampled path alone, as its own one-path tree, pays
+    // per path × epoch: one build per path, one retarget per epoch
+    // boundary of each, and no forks at all.
+    let pool = advisor.problem().candidates().to_vec();
+    let initial: Vec<Placement> = pool.iter().map(|c| c.placement).collect();
+    let budget = default_move_budget(pool.len());
     counters.rebase();
-    let flat_report = advisor
-        .solve_market(Scenario::tradeoff_normalized(0.5), &flat_config)
-        .unwrap();
+    for j in 0..PATHS {
+        let path = market.path(j);
+        let models = advisor.market_epoch_models(&path, &config.evolution);
+        let risks: Vec<InterruptionRisk> = path
+            .quotes
+            .iter()
+            .map(|q| InterruptionRisk::new(q.interruption))
+            .collect();
+        let tree = EpochTree::path(models.clone());
+        let reprice = |e: usize, _k: usize, _p: Placement, c: &ViewCharge| risks[e].adjust(c);
+        EpochChain::new(models, pool.clone()).solve_tree(
+            Scenario::tradeoff_normalized(0.5),
+            budget,
+            &tree,
+            &initial,
+            false,
+            &reprice,
+        );
+    }
     let (builds, retargets, forked) = deltas(&counters);
-    let distinct = flat_report.distinct_solves as u64;
-    assert_eq!(builds, distinct);
-    assert_eq!(retargets, distinct * (EPOCHS as u64 - 1));
+    let paths = PATHS as u64;
+    assert_eq!(builds, paths);
+    assert_eq!(retargets, paths * (EPOCHS as u64 - 1));
     assert_eq!(forked, 0);
     assert!(
-        roots + edges < distinct * EPOCHS as u64,
-        "the tree must pay fewer epoch-solves than the flat loop"
+        roots + edges < paths * EPOCHS as u64,
+        "the tree must pay fewer epoch-solves than solving each path alone"
     );
 
     // The mixed-fleet case: joint selection + placement over a hedged
