@@ -398,7 +398,7 @@ impl EpochChain {
             placements: s.placements.clone(),
         };
         let node_steps = run_tree(tree, threads, solve, branch);
-        collect_leaf_steps(tree, &node_steps)
+        collect_leaf_steps(tree, node_steps)
     }
 
     /// The rebuild-per-epoch reference implementation of
@@ -1179,23 +1179,40 @@ struct TreeFleetState {
 
 /// Thread count for a tree solve: one worker per unit of maximum tree
 /// width, capped by the machine. A degenerate chain (width 1) stays
-/// serial inline, paying no scope setup.
+/// serial inline, paying no scope setup — and no machine query, which
+/// reads cgroup files and would cost a plain horizon solve more than
+/// its epochs do.
 fn auto_tree_threads(tree: &EpochTree) -> usize {
+    if tree.width() <= 1 {
+        return 1;
+    }
     std::thread::available_parallelism()
         .map_or(1, |t| t.get())
         .min(tree.width())
 }
 
-/// Clones each leaf's root→leaf step chain out of the per-node results.
-fn collect_leaf_steps(tree: &EpochTree, node_steps: &[EpochStep]) -> Vec<Vec<EpochStep>> {
-    tree.leaves()
-        .iter()
-        .map(|&leaf| {
-            tree.lineage(leaf)
-                .into_iter()
-                .map(|i| node_steps[i].clone())
-                .collect()
-        })
+/// Each leaf's root→leaf step chain, out of the per-node results: a
+/// node's step is cloned for every leaf below it but the last, which
+/// takes it — so a one-path tree clones nothing.
+fn collect_leaf_steps(tree: &EpochTree, node_steps: Vec<EpochStep>) -> Vec<Vec<EpochStep>> {
+    let lineages: Vec<Vec<usize>> = tree.leaves().iter().map(|&l| tree.lineage(l)).collect();
+    let mut uses = vec![0usize; node_steps.len()];
+    for &i in lineages.iter().flatten() {
+        uses[i] += 1;
+    }
+    let mut steps: Vec<Option<EpochStep>> = node_steps.into_iter().map(Some).collect();
+    let mut take = |i: usize| {
+        uses[i] -= 1;
+        let step = if uses[i] == 0 {
+            steps[i].take()
+        } else {
+            steps[i].clone()
+        };
+        step.expect("a node's step is taken by its last leaf only")
+    };
+    lineages
+        .into_iter()
+        .map(|lineage| lineage.into_iter().map(&mut take).collect())
         .collect()
 }
 

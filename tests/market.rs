@@ -6,8 +6,8 @@
 //! pricing component to a bit-identical policy (`scale_rates` clones on
 //! factor 1.0), the re-resolved instance is the same catalog entry,
 //! `InterruptionRisk::adjust` at probability 0 returns the charge
-//! unchanged, and `EpochChain::solve_repriced` with an identity
-//! transform is `solve_bounded` itself — so every per-epoch charged
+//! unchanged, and the warm tree solve under an identity transform is
+//! the plain `EpochChain::solve` — so every per-epoch charged
 //! cost, processing time, selection and billed instance-hour of
 //! `Advisor::solve_market` must equal the risk-free horizon solve
 //! exactly, for every sampled path, and the quantile envelope must
