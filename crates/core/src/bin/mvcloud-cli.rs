@@ -41,7 +41,14 @@ fn main() -> ExitCode {
     if metrics.is_some() {
         obs::enable();
     }
+    // `--help` anywhere on the line prints the usage, so
+    // `<subcommand> --help` works wherever the flag sits.
+    let help = args.iter().any(|a| a == "--help" || a == "-h");
     let result = match args.first().map(String::as_str) {
+        _ if help => {
+            print_usage();
+            Ok(())
+        }
         Some("advise") => cmd_advise(&args[1..]),
         Some("horizon") => cmd_horizon(&args[1..]),
         Some("market") => cmd_market(&args[1..]),
@@ -51,7 +58,7 @@ fn main() -> ExitCode {
         Some("sql") => cmd_sql(&args[1..]),
         Some("pricing") => cmd_pricing(),
         Some("excerpt") => cmd_excerpt(),
-        Some("--help") | Some("-h") | None => {
+        None => {
             print_usage();
             Ok(())
         }
@@ -244,20 +251,14 @@ struct Flags<'a> {
 
 /// Reads `--name value` pairs, rejecting any name outside `known` — a
 /// typo'd flag must fail loudly, not silently fall back to its default.
-/// `--help` prints the usage instead and yields `None`: the subcommand
-/// then has nothing left to do. Both are decided on the name alone,
-/// before a value is demanded, so a trailing `--help` or `--bogus` is
-/// not mistaken for a flag missing its value.
-fn parse_flags<'a>(args: &'a [String], known: &[&str]) -> Result<Option<Flags<'a>>, String> {
+/// The name is checked before a value is demanded, so a trailing
+/// `--bogus` is reported as unknown, not as a flag missing its value.
+fn parse_flags<'a>(args: &'a [String], known: &[&str]) -> Result<Flags<'a>, String> {
     let mut pairs = Vec::new();
     let mut positional = Vec::new();
     let mut i = 0;
     while i < args.len() {
         if let Some(name) = args[i].strip_prefix("--") {
-            if name == "help" {
-                print_usage();
-                return Ok(None);
-            }
             if !known.contains(&name) {
                 return Err(format!("unknown flag --{name} (try --help)"));
             }
@@ -271,7 +272,7 @@ fn parse_flags<'a>(args: &'a [String], known: &[&str]) -> Result<Option<Flags<'a
             i += 1;
         }
     }
-    Ok(Some(Flags { pairs, positional }))
+    Ok(Flags { pairs, positional })
 }
 
 impl<'a> Flags<'a> {
@@ -293,7 +294,7 @@ impl<'a> Flags<'a> {
 const SCENARIO_FLAGS: [&str; 3] = ["budget", "time-limit", "alpha"];
 
 fn cmd_advise(args: &[String]) -> Result<(), String> {
-    let Some(flags) = parse_flags(
+    let flags = parse_flags(
         args,
         &[
             &[
@@ -308,10 +309,7 @@ fn cmd_advise(args: &[String]) -> Result<(), String> {
             &SCENARIO_FLAGS[..],
         ]
         .concat(),
-    )?
-    else {
-        return Ok(());
-    };
+    )?;
     let queries: usize = flags.parse_num("queries", 5)?;
     let rows: usize = flags.parse_num("rows", 10_000)?;
     let instances: u32 = flags.parse_num("instances", 2)?;
@@ -446,7 +444,7 @@ fn cmd_horizon(args: &[String]) -> Result<(), String> {
     let mut args: Vec<String> = args.to_vec();
     let commitment_flag = extract_switch(&mut args, "--commitment");
     let myopic = extract_switch(&mut args, "--myopic");
-    let Some(flags) = parse_flags(
+    let flags = parse_flags(
         &args,
         &[
             &[
@@ -462,10 +460,7 @@ fn cmd_horizon(args: &[String]) -> Result<(), String> {
             &SCENARIO_FLAGS[..],
         ]
         .concat(),
-    )?
-    else {
-        return Ok(());
-    };
+    )?;
     let queries: usize = flags.parse_num("queries", 5)?;
     let rows: usize = flags.parse_num("rows", 10_000)?;
     let epochs: usize = flags.parse_num("epochs", 12)?;
@@ -542,7 +537,7 @@ fn cmd_calibrate(args: &[String]) -> Result<(), String> {
     use mvcloud::units::Gb;
     use mvcloud::CalibrationConfig;
 
-    let Some(flags) = parse_flags(
+    let flags = parse_flags(
         args,
         &[
             &[
@@ -565,10 +560,7 @@ fn cmd_calibrate(args: &[String]) -> Result<(), String> {
             &SCENARIO_FLAGS[..],
         ]
         .concat(),
-    )?
-    else {
-        return Ok(());
-    };
+    )?;
     let queries: usize = flags.parse_num("queries", 5)?;
     let rows: usize = flags.parse_num("rows", 10_000)?;
     let frequency: f64 = flags.parse_num("frequency", 1.0)?;
@@ -720,7 +712,7 @@ fn cmd_market(args: &[String]) -> Result<(), String> {
 
     let mut args: Vec<String> = args.to_vec();
     let commitment_flag = extract_switch(&mut args, "--commitment");
-    let Some(flags) = parse_flags(
+    let flags = parse_flags(
         &args,
         &[
             &[
@@ -739,10 +731,7 @@ fn cmd_market(args: &[String]) -> Result<(), String> {
             &SCENARIO_FLAGS[..],
         ]
         .concat(),
-    )?
-    else {
-        return Ok(());
-    };
+    )?;
     let queries: usize = flags.parse_num("queries", 5)?;
     let rows: usize = flags.parse_num("rows", 10_000)?;
     let epochs: usize = flags.parse_num("epochs", 12)?;
@@ -816,7 +805,7 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
     let mut args: Vec<String> = args.to_vec();
     let commitment_flag = extract_switch(&mut args, "--commitment");
     let no_compare = extract_switch(&mut args, "--no-compare");
-    let Some(flags) = parse_flags(
+    let flags = parse_flags(
         &args,
         &[
             &[
@@ -837,10 +826,7 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
             &SCENARIO_FLAGS[..],
         ]
         .concat(),
-    )?
-    else {
-        return Ok(());
-    };
+    )?;
     let queries: usize = flags.parse_num("queries", 5)?;
     let rows: usize = flags.parse_num("rows", 10_000)?;
     let epochs: usize = flags.parse_num("epochs", 12)?;
@@ -1112,7 +1098,7 @@ fn horizon_json(report: &mvcloud::HorizonReport, scenario: Scenario, myopic: boo
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     use mvcloud::{AdvisorService, ServiceConfig};
 
-    let Some(flags) = parse_flags(
+    let flags = parse_flags(
         args,
         &[
             &[
@@ -1130,10 +1116,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             &SCENARIO_FLAGS[..],
         ]
         .concat(),
-    )?
-    else {
-        return Ok(());
-    };
+    )?;
     let queries: usize = flags.parse_num("queries", 3)?;
     let rows: usize = flags.parse_num("rows", 2_000)?;
     let frequency: f64 = flags.parse_num("frequency", 1.0)?;
@@ -1315,9 +1298,7 @@ fn run_script_line(
 }
 
 fn cmd_sql(args: &[String]) -> Result<(), String> {
-    let Some(flags) = parse_flags(args, &["rows", "format"])? else {
-        return Ok(());
-    };
+    let flags = parse_flags(args, &["rows", "format"])?;
     let statement = flags
         .positional
         .first()

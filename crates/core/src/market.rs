@@ -546,11 +546,11 @@ impl Advisor {
         tree_nodes: Option<usize>,
     ) -> MarketReport {
         let epochs = config.market.epochs;
+        let labels: Vec<String> = self.candidates().iter().map(|m| m.label.clone()).collect();
         for s in &mut solved {
             s.summary.interruptions = s.path.interruptions();
         }
 
-        let labels: Vec<String> = self.candidates().iter().map(|m| m.label.clone()).collect();
         let mut epoch_reports = Vec::with_capacity(epochs);
         let mut cumulative: Vec<f64> = vec![0.0; solved.len()];
         let mut stability_sum = 0.0;

@@ -50,8 +50,7 @@ impl EpochQuote {
     /// `interrupted` event flag is excluded — it is reporting-only
     /// (expected-cost charging uses the probability), so two quotes
     /// with equal keys re-price and risk-adjust bit-identically. This
-    /// is the merge key of [`crate::ScenarioTree`] and of the flat
-    /// Monte-Carlo loop's path dedup.
+    /// is the merge key of [`crate::ScenarioTree`].
     pub fn solve_key(&self) -> [u64; 4] {
         [
             self.factors.compute.to_bits(),
